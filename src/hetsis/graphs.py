@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,11 @@ class Graph:
 
     def neighbors(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.adjacency[i])
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        """lambda_max(A), computed on first use and kept (the adjacency is frozen)."""
+        return float(np.linalg.eigvalsh(self.adjacency)[-1])
 
 
 def _require_connected(adj: np.ndarray) -> None:

@@ -6,7 +6,10 @@ yields linear systems in the matrix
     S = diag(delta_j / (1 - v_j)^2) - A diag(beta_j),
 
 which is similar to a symmetric positive definite matrix at every
-endemic state.  First and second derivative solves, a Schur-complement
+endemic state.  ``sensitivity_matrix`` builds S and checks that through
+a Cholesky factorization of the symmetric form; each endemic state is
+linearized once, and every derivative below is a product with that one
+S^{-1}.  First and second derivatives, a Schur-complement
 route to the own-rate derivative through the node-deleted graph, a
 curvature diagnostic matrix, convexity verdicts over curing-rate sweeps,
 and an optimal protection-cost trade-off all live here, together with a
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig
-from .spectral import full_spectrum, generalized_laplacian
+from .spectral import generalized_laplacian
 from .steady_state import SteadyState, solve
 
 __all__ = [
@@ -39,6 +42,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _DEADBAND = 1e-8
+_PD_FLOOR = 1e-10  # smallest eigenvalue the symmetric form of S must exceed
 
 
 def _require_endemic(ss: SteadyState) -> None:
@@ -57,7 +61,9 @@ def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarr
 
     Checks the factorization S = (diag(q) - A) diag(beta) with
     q_j = 1/(tau_j (1 - v_j)^2), and that the similar symmetric form
-    diag(sqrt beta) (diag(q) - A) diag(sqrt beta) is positive definite.
+    diag(sqrt beta) (diag(q) - A) diag(sqrt beta) is positive definite
+    with smallest eigenvalue above 1e-10: a Cholesky factorization of the
+    form shifted down by 1e-10 must exist.
     """
     _require_endemic(ss)
     v = ss.v_inf
@@ -71,13 +77,15 @@ def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarr
 
     root = np.sqrt(rates.beta)
     sym = root[:, None] * lap * root[None, :]
-    smallest = float(full_spectrum(sym, vectors=False).eigenvalues[0])
-    if smallest <= 1e-10:
+    try:
+        np.linalg.cholesky(sym - _PD_FLOOR * np.eye(g.n))
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(sym)[0])
         raise NumericalError(
             f"sensitivity matrix not positive definite (smallest eigenvalue {smallest:.3e}); "
             "near critical threshold",
             code="near-critical",
-        )
+        ) from None
     return s
 
 
@@ -95,34 +103,69 @@ def _inverse(s: np.ndarray) -> np.ndarray:
     return inv
 
 
-def first_derivatives(g: Graph, rates: RateConfig, ss: SteadyState, mode: str = "independent"):
-    """Derivatives of the steady state in the curing rates.
+@dataclass(frozen=True)
+class _Linearization:
+    """S and S^{-1} at one endemic state, built and validated once.
 
-    mode "independent": matrix D with D[k, i] = dv_k / d delta_i, from one
-    linear solve per node.  mode "tied": all curing rates move together
-    (they must be equal), giving the vector dv_k / d delta from a single
-    solve with right-hand side -diag(v/(1-v)) applied to the ones vector.
+    Every derivative is a product with S^{-1}, so no solve rebuilds S.
     """
-    s = sensitivity_matrix(g, rates, ss)
-    v = ss.v_inf
-    if mode == "independent":
-        inv = _inverse(s)
-        d1 = -inv * (v / (1.0 - v))[None, :]
+
+    v: np.ndarray
+    delta: np.ndarray
+    s: np.ndarray
+    inv: np.ndarray
+
+    @classmethod
+    def at(cls, g: Graph, rates: RateConfig, ss: SteadyState) -> "_Linearization":
+        s = sensitivity_matrix(g, rates, ss)
+        return cls(v=ss.v_inf, delta=rates.delta, s=s, inv=_inverse(s))
+
+    def d1(self) -> np.ndarray:
+        v = self.v
+        d1 = -self.inv * (v / (1.0 - v))[None, :]
         if float(d1.max()) > 1e-10:
             raise NumericalError("positive curing-rate derivative detected", code="sign-violation")
         return d1
+
+    def d1_tied(self) -> np.ndarray:
+        v = self.v
+        return -(self.inv @ (v / (1.0 - v)))
+
+    def d2(self) -> np.ndarray:
+        v, d1 = self.v, self.d1()
+        w = 2.0 * (self.delta / (1.0 - v) ** 3)[:, None] * d1**2
+        w[np.diag_indices_from(w)] += 2.0 * np.diag(d1) / (1.0 - v) ** 2
+        return -(self.inv @ w)
+
+    def d2_tied(self) -> np.ndarray:
+        v, d1 = self.v, self.d1_tied()
+        w = 2.0 * self.delta * d1**2 / (1.0 - v) ** 3 + 2.0 * d1 / (1.0 - v) ** 2
+        return -(self.inv @ w)
+
+    def curvature(self) -> tuple[np.ndarray, float]:
+        inv, v = self.inv, self.v
+        weights = self.delta / (1.0 - v) ** 3
+        m = inv * (np.diag(inv) / (1.0 - v))[None, :] - (inv * weights[None, :]) @ (inv**2) * v[None, :]
+        scaled = ((1.0 - v) ** 2 / (2.0 * v))[None, :] * self.d2()
+        dev = np.abs(scaled - m) / np.maximum(1.0, np.maximum(np.abs(scaled), np.abs(m)))
+        return m, float(dev.max())
+
+
+def first_derivatives(g: Graph, rates: RateConfig, ss: SteadyState, mode: str = "independent"):
+    """Derivatives of the steady state in the curing rates.
+
+    mode "independent": matrix D with D[k, i] = dv_k / d delta_i, column i
+    being S^{-1} applied to -v_i/(1-v_i) e_i.  mode "tied": all curing
+    rates move together (they must be equal), giving the vector
+    dv_k / d delta from S^{-1} applied to -v/(1-v).
+    """
+    lin = _Linearization.at(g, rates, ss)
+    if mode == "independent":
+        return lin.d1()
     if mode == "tied":
         _require_tied(rates)
-        rhs = -(v / (1.0 - v))
-        return _solve_system(s, rhs)
+        return lin.d1_tied()
     raise InputError(f"unknown mode {mode!r}", code="invalid-argument")
-
-
-def _solve_system(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(s, rhs)
-    except np.linalg.LinAlgError:
-        raise NumericalError("sensitivity system singular; near critical threshold", code="near-critical") from None
 
 
 def second_derivatives(g: Graph, rates: RateConfig, ss: SteadyState, mode: str = "independent"):
@@ -133,19 +176,12 @@ def second_derivatives(g: Graph, rates: RateConfig, ss: SteadyState, mode: str =
     terms 2 delta_j (dv_j)^2 / (1 - v_j)^3 plus the cross term
     2 (dv_i) / (1 - v_i)^2 on the differentiated coordinate(s).
     """
-    s = sensitivity_matrix(g, rates, ss)
-    v = ss.v_inf
-    delta = rates.delta
+    lin = _Linearization.at(g, rates, ss)
     if mode == "independent":
-        d1 = first_derivatives(g, rates, ss, mode="independent")
-        w = 2.0 * (delta / (1.0 - v) ** 3)[:, None] * d1**2
-        w[np.diag_indices_from(w)] += 2.0 * np.diag(d1) / (1.0 - v) ** 2
-        return -_solve_system(s, w)
+        return lin.d2()
     if mode == "tied":
         _require_tied(rates)
-        d1 = first_derivatives(g, rates, ss, mode="tied")
-        w = 2.0 * delta * d1**2 / (1.0 - v) ** 3 + 2.0 * d1 / (1.0 - v) ** 2
-        return -_solve_system(s, w)
+        return lin.d2_tied()
     raise InputError(f"unknown mode {mode!r}", code="invalid-argument")
 
 
@@ -158,15 +194,14 @@ def curvature_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> tuple[np.n
     Returns (M, worst relative deviation from that identity).  Signs of M
     are data, not assertions: mixed signs flag non-convex response.
     """
-    s = sensitivity_matrix(g, rates, ss)
-    inv = _inverse(s)
-    v = ss.v_inf
-    weights = rates.delta / (1.0 - v) ** 3
-    m = inv * (np.diag(inv) / (1.0 - v))[None, :] - (inv * weights[None, :]) @ (inv**2) * v[None, :]
-    d2 = second_derivatives(g, rates, ss, mode="independent")
-    scaled = ((1.0 - v) ** 2 / (2.0 * v))[None, :] * d2
-    dev = np.abs(scaled - m) / np.maximum(1.0, np.maximum(np.abs(scaled), np.abs(m)))
-    return m, float(dev.max())
+    return _Linearization.at(g, rates, ss).curvature()
+
+
+def _solve_system(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(s, rhs)
+    except np.linalg.LinAlgError:
+        raise NumericalError("sensitivity system singular; near critical threshold", code="near-critical") from None
 
 
 def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tuple[float, float]:
@@ -307,7 +342,7 @@ def convexity_verdicts(
                 continue
             if ss.regime != "endemic":
                 continue
-            d2 = second_derivatives(g, trial, ss, mode="independent")[:, i]
+            d2 = _Linearization.at(g, trial, ss).d2()[:, i]
             signs_min[:, i] = np.minimum(signs_min[:, i], d2)
             signs_max[:, i] = np.maximum(signs_max[:, i], d2)
             counts[i] += 1
@@ -336,8 +371,7 @@ def inverse_checks(g: Graph, rates: RateConfig, ss: SteadyState, tol: float = 1e
     The symmetric upper bound only applies when all infection rates are
     equal (S is then symmetric) and is marked inapplicable otherwise.
     """
-    s = sensitivity_matrix(g, rates, ss)
-    inv = _inverse(s)
+    inv = _Linearization.at(g, rates, ss).inv
     a = g.adjacency
     v, beta, delta = ss.v_inf, rates.beta, rates.delta
     d = g.degrees.astype(float)
@@ -428,23 +462,17 @@ def full_report(
 ) -> SensitivityReport:
     if ss is None:
         ss = solve(g, rates, tol=1e-12)
-    s = sensitivity_matrix(g, rates, ss)
-    inv = _inverse(s)
-    if float(inv.min()) < -1e-10:
+    lin = _Linearization.at(g, rates, ss)
+    if float(lin.inv.min()) < -1e-10:
         raise NumericalError("negative entry in inverse sensitivity matrix", code="sign-violation")
-    d1 = first_derivatives(g, rates, ss, mode="independent")
-    d2 = second_derivatives(g, rates, ss, mode="independent")
     tied = float(np.abs(rates.delta - rates.delta[0]).max()) <= 1e-12 * float(rates.delta.max())
-    d1_tied = first_derivatives(g, rates, ss, mode="tied") if tied else None
-    d2_tied = second_derivatives(g, rates, ss, mode="tied") if tied else None
-    m, _ = curvature_matrix(g, rates, ss)
     return SensitivityReport(
-        s_matrix=s,
-        s_inverse=inv,
-        d1=d1,
-        d2=d2,
-        d1_tied=d1_tied,
-        d2_tied=d2_tied,
-        m_matrix=m,
+        s_matrix=lin.s,
+        s_inverse=lin.inv,
+        d1=lin.d1(),
+        d2=lin.d2(),
+        d1_tied=lin.d1_tied() if tied else None,
+        d2_tied=lin.d2_tied() if tied else None,
+        m_matrix=lin.curvature()[0],
         convexity=convexity_verdicts(g, rates, scales=scales),
     )

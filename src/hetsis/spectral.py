@@ -1,16 +1,16 @@
 """Symmetric eigenproblems and threshold-related matrices.
 
-Full spectra come from a cyclic Jacobi rotation sweep; dominant
-eigenpairs from power iteration on a diagonally shifted copy of the
-matrix.  The shift matters: bipartite graphs (stars, paths, grids) have
-eigenvalue pairs +/-lambda_max of equal modulus, where the raw iteration
-stalls on a mixed Rayleigh quotient instead of converging to the Perron
-value.  Shifting by the max row sum keeps eigenvectors intact, makes the
-spectrum non-negative, and restores a strict modulus gap.
+Full spectra and dominant eigenpairs both come from LAPACK through
+``numpy.linalg.eigh``, which computes every eigenpair of a symmetric
+matrix directly, so the +/-lambda_max pairs of bipartite graphs (stars,
+paths, grids) need no special handling.  Each result is checked before
+it is returned: the eigen-residual, and for the dominant pair the
+simplicity of the Perron root and the strict positivity of its vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +32,10 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}", code="invalid-matrix")
-    if not np.all(np.isfinite(m)):
+    largest = float(np.abs(m).max())  # inf or nan when any entry is
+    if not math.isfinite(largest):
         raise InputError("matrix contains non-finite entries", code="invalid-matrix")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+    if float(np.abs(m - m.T).max()) > 1e-12 * max(1.0, largest):
         raise InputError("matrix is not symmetric", code="invalid-matrix")
     return m
 
@@ -55,59 +55,25 @@ class Spectrum:
         return doc
 
 
-def full_spectrum(m: np.ndarray, vectors: bool = True, max_sweeps: int = 100) -> Spectrum:
-    """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        raise NumericalError("symmetric eigensolver did not converge", code="no-convergence") from None
 
-    Rotations are applied in row-cyclic order until the off-diagonal
-    Frobenius mass is negligible.  The returned residual is
-    max_k ||m x_k - lambda_k x_k||_inf over all eigenpairs.
+
+def full_spectrum(m: np.ndarray, vectors: bool = True) -> Spectrum:
+    """Diagonalize a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
+
+    The returned residual is max_k ||m x_k - lambda_k x_k||_inf over all
+    eigenpairs, and must not exceed 1e-10 times the largest entry.
     """
     m = _check_symmetric(m)
-    n = m.shape[0]
-    a = m.copy()
-    v = np.eye(n)
-    if n == 1:
-        return Spectrum(eigenvalues=a.diagonal().copy(), eigenvectors=v if vectors else None)
-
+    eigenvalues, v = _eigh(m)
     scale = max(1.0, float(np.abs(m).max()))
-    off_tol = 1e-14 * n * scale
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        raise NumericalError(
-            f"jacobi sweep did not converge in {max_sweeps} sweeps, off-diagonal mass {off:.3e}",
-            code="no-convergence",
-        )
-
-    eigenvalues = a.diagonal().copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    v = v[:, order]
     residual = float(np.abs(m @ v - v * eigenvalues[None, :]).max())
     if residual > 1e-10 * scale:
-        raise NumericalError(f"jacobi residual {residual:.3e} exceeds tolerance", code="no-convergence")
+        raise NumericalError(f"eigen-residual {residual:.3e} exceeds tolerance", code="no-convergence")
     return Spectrum(
         eigenvalues=eigenvalues,
         eigenvectors=v if vectors else None,
@@ -115,49 +81,32 @@ def full_spectrum(m: np.ndarray, vectors: bool = True, max_sweeps: int = 100) ->
     )
 
 
-def dominant_eigenpair(
-    m: np.ndarray, tol: float = 1e-12, max_iter: int | None = None
-) -> tuple[float, np.ndarray]:
+def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and positive unit eigenvector of a symmetric
-    non-negative irreducible matrix, by shifted power iteration.
+    non-negative irreducible matrix.
 
-    Starts from the all-ones vector and stops when successive Rayleigh
-    quotients agree to ``tol`` and the eigen-residual is comparably small.
+    The Perron root of such a matrix is simple and its eigenvector is
+    strictly positive; a repeated top eigenvalue or a vector with a
+    non-positive entry means the input is reducible and raises.
     """
     m = _check_symmetric(m)
-    if np.any(m < 0):
+    if m.min() < 0:
         raise InputError("matrix must be entrywise non-negative", code="invalid-matrix")
-    n = m.shape[0]
-    if max_iter is None:
-        max_iter = 100 * max(n, 10)
-    shift = float(np.abs(m).sum(axis=1).max())
-    if shift == 0.0:
+    row_max = float(m.sum(axis=1).max())
+    if row_max == 0.0:
         raise InputError("matrix is identically zero", code="invalid-matrix")
-    shifted = m + shift * np.eye(n)
-
-    x = np.ones(n) / np.sqrt(n)
-    rho = float(x @ (shifted @ x))
-    resid = np.inf
-    for _ in range(max_iter):
-        y = shifted @ x
-        norm = float(np.linalg.norm(y))
-        x = y / norm
-        rho_new = float(x @ (shifted @ x))
-        resid = float(np.abs(shifted @ x - rho_new * x).max())
-        done = abs(rho_new - rho) <= tol * max(1.0, abs(rho_new))
-        rho = rho_new
-        if done and resid <= 1e-11 * max(1.0, shift):
-            break
-    else:
-        raise NumericalError(
-            f"power iteration did not converge in {max_iter} iterations, residual {resid:.3e}",
-            code="no-convergence",
-        )
-    if x.sum() < 0:
+    eigenvalues, vectors = _eigh(m)
+    lam, x = float(eigenvalues[-1]), vectors[:, -1]
+    if x[0] < 0:
         x = -x
-    if np.any(x <= 0):
+    resid = float(np.abs(m @ x - lam * x).max())
+    if resid > 1e-11 * max(1.0, row_max):
+        raise NumericalError(f"eigen-residual {resid:.3e} exceeds tolerance", code="no-convergence")
+    if m.shape[0] > 1 and lam - float(eigenvalues[-2]) <= 1e-10 * max(1.0, lam):
+        raise NumericalError("dominant eigenvalue is not simple; matrix is reducible", code="reducible-matrix")
+    if x.min() <= 0:
         raise NumericalError("dominant eigenvector is not strictly positive", code="no-convergence")
-    return rho - shift, x
+    return lam, x
 
 
 def effective_adjacency(g: Graph, tau: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, walk_counts
 from .spectral import dominant_eigenpair, effective_adjacency
+from .steady_state import CRITICAL_BAND
 
 __all__ = [
     "ThresholdReport",
@@ -26,8 +27,6 @@ __all__ = [
     "complete_graph_critical_sum",
     "critical_perturbation",
 ]
-
-CRITICAL_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def _ledger(g: Graph, tau: np.ndarray, lam: float) -> dict:
     through routes independent of the eigensolver where possible."""
     d = g.degrees.astype(float)
     n3_total, n3_closed = walk_counts(g)
-    lam_adj, _ = dominant_eigenpair(g.adjacency)
+    lam_adj = g.spectral_radius
     tau_min, tau_max = float(tau.min()), float(tau.max())
 
     entries = {

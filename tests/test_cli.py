@@ -5,12 +5,15 @@ runs confirm the installed entry point emits byte-identical documents.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hetsis
 from hetsis.cli import main
 
 
@@ -261,3 +264,15 @@ def test_entry_point_byte_identical(triangle_file):
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg alone adds about 0.1 s to start-up; the package uses
+    # numpy.linalg so that `import hetsis, hetsis.cli` does not pay it
+    src = str(Path(hetsis.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, hetsis, hetsis.cli; print(hetsis.__file__); print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    origin, loaded = out.stdout.split()
+    assert Path(origin).resolve() == Path(hetsis.__file__).resolve()
+    assert loaded == "False"

@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from hetsis import Graph, InputError, RateConfig, format_edge_list, parse_edge_list, walk_counts
 
-from conftest import brute_walk_counts, complete_graph, path_graph, random_connected_graph, star_graph
+from conftest import (
+    brute_walk_counts,
+    complete_graph,
+    eigvalsh_lambda_max,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+)
 
 
 def test_from_edges_basic_shape():
@@ -149,3 +156,11 @@ def test_rate_config_arrays_immutable():
     r = RateConfig.for_graph(g, 1.0, 1.0)
     with pytest.raises(ValueError):
         r.beta[0] = 9.0
+
+
+def test_spectral_radius_lazy_and_kept():
+    g = random_connected_graph(12, np.random.default_rng(5))
+    assert "spectral_radius" not in vars(g)  # construction does not pay for it
+    lam = g.spectral_radius
+    assert abs(lam - eigvalsh_lambda_max(g.adjacency)) < 1e-12 * lam
+    assert vars(g)["spectral_radius"] == lam

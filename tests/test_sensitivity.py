@@ -7,6 +7,8 @@ Closed forms on the triangle with beta = delta = 1 (v = 1/2):
   Schur quantities at any node: f = 2/3, own derivative -0.3
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,8 @@ from hetsis import (
     InputError,
     NumericalError,
     RateConfig,
+    SteadyState,
+    classify,
     convexity_verdicts,
     curvature_matrix,
     first_derivatives,
@@ -357,3 +361,103 @@ def test_full_report_tied_fields_none_for_heterogeneous_delta():
     report = full_report(g, r, ss)
     assert report.d1_tied is None
     assert report.d2_tied is None
+
+
+def exact_state(g, r, v) -> SteadyState:
+    """Endemic state from a closed-form v, checked against the fixed-point equations."""
+    v_tilde = r.beta * v
+    w = g.adjacency @ v_tilde + r.delta
+    residual = float(np.abs(g.adjacency @ v_tilde - v * r.delta / (1.0 - v)).max())
+    assert residual <= 1e-14
+    return SteadyState(
+        v_inf=v, v_tilde=v_tilde, w=w, iterations=0, residual=residual, regime="endemic", y_inf=float(v.mean())
+    )
+
+
+def near_critical_states():
+    """Closed-form endemic states at lambda_max(R) = 1 + eps, eps -> 0.
+
+    Cycle C_6 (regular): v = eps/(1 + eps) everywhere.  Star with L = 4
+    leaves: v_hub = (L beta^2 - 1)/(beta (L beta + 1)), v_leaf =
+    beta v_hub/(1 + beta v_hub).  Both with delta = 1, beta = tau.
+    """
+    for eps in (1e-3, 1e-5, 1e-7, 1e-8, 1e-9, 4e-10, 3e-11, 1e-11, 1e-12, 1e-13):
+        g = cycle_graph(6)
+        r = RateConfig.for_graph(g, (1.0 + eps) / 2.0, 1.0)
+        yield g, r, exact_state(g, r, np.full(6, eps / (1.0 + eps)))
+
+        g = star_graph(5)
+        beta = (1.0 + eps) / 2.0
+        r = RateConfig.for_graph(g, beta, 1.0)
+        hub = (4.0 * beta**2 - 1.0) / (beta * (4.0 * beta + 1.0))
+        leaf = beta * hub / (1.0 + beta * hub)
+        yield g, r, exact_state(g, r, np.array([hub, leaf, leaf, leaf, leaf]))
+
+
+def test_s_matrix_near_critical_exactly_below_eigenvalue_floor():
+    raised = passed = 0
+    for g, r, ss in near_critical_states():
+        v = ss.v_inf
+        root = np.sqrt(r.beta)
+        lap = np.diag(1.0 / (r.tau * (1.0 - v) ** 2)) - g.adjacency
+        smallest = float(np.linalg.eigvalsh(root[:, None] * lap * root[None, :])[0])
+        assert not 0.5e-10 <= smallest <= 2e-10, "configuration too close to the 1e-10 floor"
+        if smallest > 1e-10:
+            sensitivity_matrix(g, r, ss)
+            passed += 1
+            continue
+        with pytest.raises(NumericalError, match="not positive definite") as info:
+            sensitivity_matrix(g, r, ss)
+        assert info.value.code == "near-critical"
+        reported = float(re.search(r"smallest eigenvalue (\S+)\)", str(info.value)).group(1))
+        assert abs(reported - smallest) <= 1e-3 * abs(smallest) + 1e-15
+        raised += 1
+    assert raised >= 6 and passed >= 10
+
+
+def test_s_matrix_accepts_solved_states_approaching_surface():
+    g = random_connected_graph(9, np.random.default_rng(21))
+    for target in (2.0, 1.1, 1.01):
+        r = random_rates_at(g, np.random.default_rng(22), target)
+        ss = solve(g, r, tol=1e-13)
+        s = sensitivity_matrix(g, r, ss)
+        v = ss.v_inf
+        expected = np.diag(r.delta / (1.0 - v) ** 2) - g.adjacency * r.beta[None, :]
+        assert np.array_equal(s, expected)
+
+
+def solve_reference(g, r, ss):
+    """Every full_report field from numpy.linalg.solve on an S built here."""
+    v, beta, delta = ss.v_inf, r.beta, r.delta
+    s = np.diag(delta / (1.0 - v) ** 2) - g.adjacency * beta[None, :]
+    inv = np.linalg.solve(s, np.eye(g.n))
+    d1 = np.linalg.solve(s, -np.diag(v / (1.0 - v)))
+    w = 2.0 * (delta / (1.0 - v) ** 3)[:, None] * d1**2 + np.diag(2.0 * np.diag(d1) / (1.0 - v) ** 2)
+    d2 = -np.linalg.solve(s, w)
+    d1_tied = np.linalg.solve(s, -(v / (1.0 - v)))
+    d2_tied = -np.linalg.solve(s, 2.0 * delta * d1_tied**2 / (1.0 - v) ** 3 + 2.0 * d1_tied / (1.0 - v) ** 2)
+    m = np.empty_like(inv)
+    for k in range(g.n):
+        for i in range(g.n):
+            tail = sum(inv[k, j] * delta[j] * inv[j, i] ** 2 / (1.0 - v[j]) ** 3 for j in range(g.n))
+            m[k, i] = inv[k, i] * inv[i, i] / (1.0 - v[i]) - v[i] * tail
+    return {"s_matrix": s, "s_inverse": inv, "d1": d1, "d2": d2, "d1_tied": d1_tied, "d2_tied": d2_tied, "m_matrix": m}
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_full_report_matches_dense_solves(tied):
+    rng = np.random.default_rng(31)
+    g = random_connected_graph(8, rng)
+    beta = rng.uniform(0.5, 2.0, g.n)
+    delta = np.ones(g.n) if tied else rng.uniform(0.5, 2.0, g.n)
+    r = RateConfig.for_graph(g, beta, delta)
+    r = RateConfig.for_graph(g, beta * 2.5 / classify(g, r).lambda_max_R, delta)
+    ss = solve(g, r, tol=1e-13)
+    report = full_report(g, r, ss, scales=(1.0,))
+    reference = solve_reference(g, r, ss)
+    if not tied:
+        assert report.d1_tied is None and report.d2_tied is None
+        del reference["d1_tied"], reference["d2_tied"]
+    for name, expected in reference.items():
+        got = getattr(report, name)
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max(), name

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from hetsis import (
     InputError,
+    NumericalError,
     dominant_eigenpair,
     effective_adjacency,
     full_spectrum,
@@ -112,8 +113,8 @@ def test_dominant_eigenpair_positive_unit_vector():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=25), st.integers(min_value=0, max_value=10**6))
 def test_dominant_eigenpair_matches_lapack(n, seed):
-    # includes trees and near-bipartite graphs, where the +-lambda pair
-    # makes unshifted power iteration stall
+    # includes trees and near-bipartite graphs, whose +-lambda pair must
+    # not be mistaken for a repeated Perron root
     g = random_connected_graph(n, np.random.default_rng(seed), extra=0.05)
     lam, _ = dominant_eigenpair(g.adjacency)
     assert abs(lam - eigvalsh_lambda_max(g.adjacency)) < 1e-10 * max(1.0, lam)
@@ -172,3 +173,14 @@ def test_gerschgorin_intervals_cover_spectrum():
     lam = full_spectrum(generalized_laplacian(g, q).matrix, vectors=False).eigenvalues
     assert lam.min() >= intervals[:, 0].min() - 1e-12
     assert lam.max() <= intervals[:, 1].max() + 1e-12
+
+
+def test_dominant_eigenpair_rejects_reducible_input():
+    # two disjoint triangles: lambda = 2 twice, so no unique positive vector exists
+    triangle = complete_graph(3).adjacency
+    m = np.zeros((6, 6))
+    m[:3, :3] = triangle
+    m[3:, 3:] = triangle
+    with pytest.raises(NumericalError) as info:
+        dominant_eigenpair(m)
+    assert info.value.code == "reducible-matrix"
