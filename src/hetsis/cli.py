@@ -56,6 +56,13 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(text)
 
 
+def _float_list(text: str, flag: str) -> np.ndarray:
+    try:
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise InputError(f"{flag} must be a comma-separated list of numbers, got {text!r}", code="parse-error") from None
+
+
 def _resolve_rates(g: Graph, args, allow_bare_tau: bool) -> RateConfig:
     scalars = [name for name in ("beta", "delta", "tau") if getattr(args, name, None) is not None]
     if args.rates is not None:
@@ -118,7 +125,7 @@ def _cmd_dynamics(args) -> str:
     g = _load_graph(args.graph)
     rates = _resolve_rates(g, args, allow_bare_tau=False)
     if args.v0_list is not None:
-        v0 = np.array([float(x) for x in args.v0_list.split(",")])
+        v0 = _float_list(args.v0_list, "--v0-list")
     else:
         v0 = np.full(g.n, args.v0)
     traj = dynamics.integrate(
@@ -147,8 +154,7 @@ def _cmd_threshold(args) -> str:
         "tau_max": report.tau_max,
     }
     if args.direction is not None:
-        direction = np.array([float(x) for x in args.direction.split(",")])
-        doc["s_star"] = threshold.critical_scaling(g, direction)
+        doc["s_star"] = threshold.critical_scaling(g, _float_list(args.direction, "--direction"))
     doc["bound_ledger"] = report.bound_ledger
     return _fmt(doc)
 
@@ -172,7 +178,7 @@ def _cmd_sensitivity(args) -> str:
 
 
 def _cmd_kn(args) -> str:
-    tau = np.array([float(x) for x in args.tau_list.split(",")])
+    tau = _float_list(args.tau_list, "--tau-list")
     if args.n is not None:
         if tau.size == 1:
             tau = np.full(args.n, tau[0])

@@ -48,11 +48,14 @@ def _check_state(v: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
-def mean_field_rhs(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
-    """Time derivative of the infection-probability vector."""
-    v = _check_state(v, g.n)
+def _rhs(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
     pressure = g.adjacency @ (rates.beta * v)
     return pressure - v * (pressure + rates.delta)
+
+
+def mean_field_rhs(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
+    """Time derivative of the infection-probability vector."""
+    return _rhs(g, rates, _check_state(v, g.n))
 
 
 def default_step(rates: RateConfig) -> float:
@@ -85,20 +88,16 @@ def integrate(
             raise InputError("dt_hint must be positive", code="invalid-argument")
         dt = min(dt, float(dt_hint))
 
-    def rhs(state: np.ndarray) -> np.ndarray:
-        pressure = g.adjacency @ (rates.beta * state)
-        return pressure - state * (pressure + rates.delta)
-
     n_steps = 0 if t_end == 0 else int(np.ceil(t_end / dt - 1e-12))
     times = [0.0]
     states = [v.copy()]
     t = 0.0
     for k in range(n_steps):
         h = min(dt, t_end - t)
-        k1 = rhs(v)
-        k2 = rhs(v + 0.5 * h * k1)
-        k3 = rhs(v + 0.5 * h * k2)
-        k4 = rhs(v + h * k3)
+        k1 = _rhs(g, rates, v)
+        k2 = _rhs(g, rates, v + 0.5 * h * k1)
+        k3 = _rhs(g, rates, v + 0.5 * h * k2)
+        k4 = _rhs(g, rates, v + h * k3)
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         low, high = float(v.min()), float(v.max())
         if low < -_OVERSHOOT or high > 1.0 + _OVERSHOOT:
@@ -121,5 +120,5 @@ def integrate(
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
-        terminal_residual=float(np.abs(rhs(v)).max()),
+        terminal_residual=float(np.abs(_rhs(g, rates, v)).max()),
     )

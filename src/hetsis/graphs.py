@@ -25,7 +25,7 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Connected simple undirected graph on nodes 0..n-1."""
 
@@ -155,7 +155,7 @@ def _as_rate_vector(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateConfig:
     """Per-node infection rates beta, curing rates delta, and derived fields.
 

@@ -4,16 +4,14 @@ These are the ground-truth oracles the mean-field model is measured
 against.  The exact continuous-time chain lives on all 2^N subsets of
 infected nodes (bit i set means node i infected, the empty set is
 absorbing); transients are computed by uniformization.  The event-driven
-simulator runs independent replicas with a counter-based RNG keyed by
-(seed XOR replica), so results are reproducible regardless of worker
-scheduling.
+simulator runs independent replicas one after another in the calling
+thread, each with a counter-based RNG keyed by (seed XOR replica), so
+results are bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,32 +56,20 @@ def build_exact_chain(g: Graph, rates: RateConfig) -> ExactChain:
             code="chain-too-large",
         )
     n = g.n
-    size = 1 << n
-    neighbors = [g.neighbors(i) for i in range(n)]
-    rows, cols, vals = [], [], []
-    for s in range(size):
-        outflow = 0.0
-        for i in range(n):
-            bit = 1 << i
-            if s & bit:
-                rate = float(rates.delta[i])
-                target = s & ~bit
-            else:
-                rate = float(sum(rates.beta[j] for j in neighbors[i] if s & (1 << j)))
-                if rate == 0.0:
-                    continue
-                target = s | bit
-            rows.append(s)
-            cols.append(target)
-            vals.append(rate)
-            outflow += rate
-        if outflow > 0.0:
-            rows.append(s)
-            cols.append(s)
-            vals.append(-outflow)
-    generator = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    max_outflow = float(-generator.diagonal().min())
-    return ExactChain(n=n, generator=generator, uniformization_rate=1.1 * max_outflow)
+    states = np.arange(1 << n)
+    flips = 1 << np.arange(n)
+    bits = (states[:, None] & flips) != 0
+    # rate[s, i]: delta_i if i is infected in s, else sum_j a_ij beta_j [j in s]
+    rate = np.where(bits, rates.delta, bits @ (g.adjacency * rates.beta).T)
+    outflow = rate.sum(axis=1)
+    # each row lists its n flips (i = 0..n-1) and then its diagonal;
+    # zero rates (no infected neighbour, or the absorbing state) are dropped
+    values = np.column_stack([rate, -outflow])
+    targets = np.column_stack([states[:, None] ^ flips, states])
+    keep = values != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    generator = sp.csr_matrix((values[keep], targets[keep], indptr), shape=(states.size, states.size))
+    return ExactChain(n=n, generator=generator, uniformization_rate=1.1 * float(outflow.max()))
 
 
 def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.ndarray:
@@ -202,16 +188,23 @@ def _run_replica(
     """
     n = g.n
     draws = _DrawBuffer(key)
+    adjacency, beta, delta = g.adjacency, rates.beta, rates.delta
+    links = adjacency.astype(np.int64)
     infected = np.ones(n, dtype=bool)
-    pressure = g.adjacency @ rates.beta  # all neighbors infected at start
+    # exact count of infected neighbours; pressure is their summed beta,
+    # which float updates leave with rounding residue, so a node whose
+    # count is zero gets an infection rate of exactly zero
+    exposed = g.degrees.copy()
+    pressure = adjacency @ beta
     occupancy = np.zeros(n)
-    beta, delta = rates.beta, rates.delta
-    adjacency = g.adjacency
+    rate = np.empty(2 * n)  # cure rates, then infection rates
+    cure, infect = rate[:n], rate[n:]
     t = 0.0
     while True:
-        cure = np.where(infected, delta, 0.0)
-        infect = np.where(infected, 0.0, pressure)
-        total = float(cure.sum() + infect.sum())
+        np.multiply(delta, infected, out=cure)
+        np.multiply(pressure, ~infected & (exposed > 0), out=infect)
+        cumulative = np.cumsum(rate)
+        total = float(cumulative[-1])
         if total == 0.0:
             # absorbed: nothing more happens for the rest of the horizon
             return occupancy, False
@@ -222,29 +215,13 @@ def _run_replica(
             occupancy[infected] += right - left
         if t_next >= horizon:
             return occupancy, bool(infected.any())
-        u = draws.uniform() * total
-        combined = np.concatenate([cure, infect])
-        node = int(np.searchsorted(np.cumsum(combined), u, side="right"))
-        if node >= n:  # infection event
-            node -= n
-            infected[node] = True
-            pressure += beta[node] * adjacency[:, node]
-        else:  # curing event
-            infected[node] = False
-            pressure -= beta[node] * adjacency[:, node]
+        event = int(np.searchsorted(cumulative, draws.uniform() * total, side="right"))
+        node = event % n
+        infected[node] = event >= n  # an infection event, else a cure
+        sign = 1 if infected[node] else -1
+        exposed += sign * links[node]
+        pressure += sign * beta[node] * adjacency[node]
         t = t_next
-
-
-def _worker_count(max_workers: int | None) -> int:
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    env = os.environ.get("NIMFA_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError(f"NIMFA_THREADS must be an integer, got {env!r}", code="invalid-argument") from None
-    return os.cpu_count() or 1
 
 
 def simulate(
@@ -261,8 +238,9 @@ def simulate(
     Each replica starts all-infected and is simulated event by event to
     ``horizon``; replicas absorbed before the horizon are excluded
     (conditioning on survival).  Replica r draws from a Philox stream
-    keyed by seed XOR r, and the ordered reduction makes the estimate
-    bit-reproducible for a given seed independent of worker count.
+    keyed by seed XOR r, so the estimate is bit-reproducible for a given
+    seed.  Replicas run in order in the calling thread; ``max_workers``
+    is accepted for compatibility and ignored.
     """
     if not np.isfinite(horizon) or not np.isfinite(burn_in) or burn_in < 0 or horizon <= burn_in:
         raise InputError("need 0 <= burn_in < horizon", code="invalid-argument")
@@ -271,13 +249,7 @@ def simulate(
     if seed < 0:
         raise InputError("seed must be non-negative", code="invalid-argument")
 
-    workers = _worker_count(max_workers)
-    keys = [seed ^ r for r in range(replicas)]
-    if workers == 1:
-        results = [_run_replica(g, rates, horizon, burn_in, k) for k in keys]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda k: _run_replica(g, rates, horizon, burn_in, k), keys))
+    results = [_run_replica(g, rates, horizon, burn_in, seed ^ r) for r in range(replicas)]
 
     window = horizon - burn_in
     survivors = np.array([occ / window for occ, alive in results if alive])

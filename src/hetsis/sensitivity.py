@@ -293,7 +293,7 @@ def optimal_curing_rate(
         raise NumericalError("no interior optimum", code="no-interior-optimum")
 
     lo, hi = bracket
-    r_lo = residual(lo)
+    r_lo = previous[1]  # residual at lo, from the grid scan
     while hi - lo > tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         r_mid = residual(mid)

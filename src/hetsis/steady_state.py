@@ -14,6 +14,7 @@ continued-fraction representation of v_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -34,6 +35,14 @@ __all__ = [
 CRITICAL_BAND = 1e-9
 
 
+def surface_side(lam: float) -> int:
+    """Side of the critical surface for spectral radius lam of R: +1 above
+    (endemic), -1 below (extinct), 0 within CRITICAL_BAND of one."""
+    if abs(lam - 1.0) <= CRITICAL_BAND:
+        return 0
+    return 1 if lam > 1.0 else -1
+
+
 @dataclass(frozen=True)
 class SteadyState:
     """Converged fixed point, scaled variants, and solver diagnostics.
@@ -51,25 +60,33 @@ class SteadyState:
     y_inf: float
 
 
-def _nodal_residual(g: Graph, rates: RateConfig, v: np.ndarray) -> float:
-    pressure = g.adjacency @ (rates.beta * v)
-    return float(np.abs(pressure - v * rates.delta / (1.0 - v)).max())
+def _upper_start(rates: RateConfig) -> np.ndarray:
+    """Componentwise upper bound 1 - 1/(1 + gamma_i/delta_i) on the endemic state."""
+    return 1.0 - 1.0 / (1.0 + rates.gamma / rates.delta)
+
+
+def _orbit(g: Graph, rates: RateConfig, v: np.ndarray):
+    """Iterates of the fixed-point map from v, each with its pressure A (beta v)."""
+    a = g.adjacency
+    beta, delta = rates.beta, rates.delta
+    while True:
+        pressure = a @ (beta * v)
+        yield v, pressure
+        v = pressure / (delta + pressure)
 
 
 def _iterate(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: int):
-    a = g.adjacency
-    beta, delta = rates.beta, rates.delta
-    for k in range(max_iter + 1):
-        pressure = a @ (beta * v)
+    delta = rates.delta
+    for k, (v, pressure) in enumerate(_orbit(g, rates, v)):
         residual = float(np.abs(pressure - v * delta / (1.0 - v)).max())
         if residual <= tol:
             return v, k, residual
-        v = pressure / (delta + pressure)
-    raise NumericalError(
-        f"fixed-point iteration did not reach tolerance {tol:g} in {max_iter} iterations "
-        f"(residual {residual:.3e})",
-        code="no-convergence",
-    )
+        if k == max_iter:
+            raise NumericalError(
+                f"fixed-point iteration did not reach tolerance {tol:g} in {max_iter} iterations "
+                f"(residual {residual:.3e})",
+                code="no-convergence",
+            )
 
 
 def solve(g: Graph, rates: RateConfig, tol: float = 1e-10, max_iter: int = 10**6) -> SteadyState:
@@ -81,9 +98,10 @@ def solve(g: Graph, rates: RateConfig, tol: float = 1e-10, max_iter: int = 10**6
     fixed point is found by monotone iteration from the upper bound.
     """
     lam, _ = dominant_eigenpair(effective_adjacency(g, rates.tau))
-    if abs(lam - 1.0) <= CRITICAL_BAND:
+    side = surface_side(lam)
+    if side == 0:
         raise NumericalError("at critical threshold, derivative undefined", code="critical-threshold")
-    if lam < 1.0:
+    if side < 0:
         zeros = np.zeros(g.n)
         return SteadyState(
             v_inf=zeros,
@@ -94,8 +112,7 @@ def solve(g: Graph, rates: RateConfig, tol: float = 1e-10, max_iter: int = 10**6
             regime="extinct",
             y_inf=0.0,
         )
-    start = 1.0 - 1.0 / (1.0 + rates.gamma / rates.delta)
-    v, iterations, residual = _iterate(g, rates, start, tol, max_iter)
+    v, iterations, residual = _iterate(g, rates, _upper_start(rates), tol, max_iter)
     v_tilde = rates.beta * v
     return SteadyState(
         v_inf=v,
@@ -114,10 +131,7 @@ def truncated_iterate(g: Graph, rates: RateConfig, depth: int) -> np.ndarray:
     Applies the fixed-point map exactly ``depth`` times from the upper
     bound start, replaying what ``solve`` computes before it stops.
     """
-    v = 1.0 - 1.0 / (1.0 + rates.gamma / rates.delta)
-    for _ in range(depth):
-        pressure = g.adjacency @ (rates.beta * v)
-        v = pressure / (rates.delta + pressure)
+    v, _ = next(islice(_orbit(g, rates, _upper_start(rates)), depth, None))
     return v
 
 
@@ -183,7 +197,7 @@ class BoundsReport:
 
 def bounds(g: Graph, rates: RateConfig, ss: SteadyState) -> BoundsReport:
     ratio = rates.gamma / rates.delta
-    upper = 1.0 - 1.0 / (1.0 + ratio)
+    upper = _upper_start(rates)
     lower = 1.0 - 1.0 / float(ratio.min())
     informative = bool(ratio.min() > 1.0)
     satisfied = None

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, walk_counts
 from .spectral import dominant_eigenpair, effective_adjacency
-from .steady_state import CRITICAL_BAND
+from .steady_state import surface_side
 
 __all__ = [
     "ThresholdReport",
@@ -38,10 +38,7 @@ class ThresholdReport:
     bound_ledger: dict = field(repr=False)
 
 
-def _regime(lam: float) -> str:
-    if abs(lam - 1.0) <= CRITICAL_BAND:
-        return "critical"
-    return "infected" if lam > 1.0 else "not_infected"
+_REGIMES = {1: "infected", 0: "critical", -1: "not_infected"}
 
 
 def classify(g: Graph, rates: RateConfig) -> ThresholdReport:
@@ -49,19 +46,20 @@ def classify(g: Graph, rates: RateConfig) -> ThresholdReport:
     lam, _ = dominant_eigenpair(effective_adjacency(g, rates.tau))
     return ThresholdReport(
         lambda_max_R=lam,
-        regime=_regime(lam),
+        regime=_REGIMES[surface_side(lam)],
         tau_min=float(rates.tau.min()),
         tau_max=float(rates.tau.max()),
         bound_ledger=_ledger(g, rates.tau, lam),
     )
 
 
-def critical_scaling(g: Graph, tau_direction: np.ndarray, tol: float = 1e-10) -> float:
+def critical_scaling(g: Graph, tau_direction: np.ndarray) -> float:
     """Scale factor s* putting s * tau_direction exactly on the surface.
 
-    Found by bisection on the spectral radius of the scaled coupling; the
-    radius is linear in a global scaling, so the result must agree with
-    1 / radius(direction), which is asserted before returning.
+    The spectral radius is linear in a global scaling,
+    lambda_max(R(s tau)) = s lambda_max(R(tau)), so s* = 1 / lambda_max(R(tau)).
+    One eigensolve at s* tau confirms that it lands within CRITICAL_BAND
+    of one before the factor is returned.
     """
     tau0 = np.asarray(tau_direction, dtype=float)
     if tau0.shape != (g.n,):
@@ -70,24 +68,13 @@ def critical_scaling(g: Graph, tau_direction: np.ndarray, tol: float = 1e-10) ->
         raise InputError("direction must be strictly positive and finite", code="invalid-rates")
 
     lam0, _ = dominant_eigenpair(effective_adjacency(g, tau0))
-
-    def excess(s: float) -> float:
-        lam, _ = dominant_eigenpair(effective_adjacency(g, s * tau0))
-        return lam - 1.0
-
-    lo, hi = 0.5 / lam0, 2.0 / lam0
-    f_lo, f_hi = excess(lo), excess(hi)
-    if f_lo > 0 or f_hi < 0:
-        raise NumericalError("critical scaling bracket failed", code="no-convergence")
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    s_star = 0.5 * (lo + hi)
-    if abs(s_star - 1.0 / lam0) > 1e-8 * max(1.0, 1.0 / lam0):
-        raise NumericalError("bisection disagrees with scale linearity", code="no-convergence")
+    s_star = 1.0 / lam0
+    lam, _ = dominant_eigenpair(effective_adjacency(g, s_star * tau0))
+    if surface_side(lam) != 0:
+        raise NumericalError(
+            f"scaled direction misses the critical surface (spectral radius {lam!r})",
+            code="no-convergence",
+        )
     return s_star
 
 
@@ -106,7 +93,7 @@ def _ledger(g: Graph, tau: np.ndarray, lam: float) -> dict:
         "degree_walk_lower": (n3_total / float(np.sum(d * d / tau)), lam),
         "closed_walk_lower": (n3_closed / float(np.sum(d / tau)), lam),
     }
-    if abs(lam - 1.0) <= CRITICAL_BAND:
+    if surface_side(lam) == 0:
         entries.update(
             {
                 "critical_tau_lower": (tau_min, 1.0 / lam_adj),
@@ -125,8 +112,7 @@ def _ledger(g: Graph, tau: np.ndarray, lam: float) -> dict:
 
 def verify_bounds(g: Graph, rates: RateConfig) -> dict:
     """Standalone bound ledger for a rate configuration."""
-    lam, _ = dominant_eigenpair(effective_adjacency(g, rates.tau))
-    return _ledger(g, rates.tau, lam)
+    return classify(g, rates).bound_ledger
 
 
 def _check_tau_vector(tau) -> np.ndarray:

@@ -163,6 +163,25 @@ def test_threshold_document(capsys, triangle_file):
     assert out == second
 
 
+def test_threshold_malformed_direction_exits_2(capsys, triangle_file):
+    code, out = run_cli(capsys, ["threshold", "--graph", triangle_file, "--tau", "0.75", "--direction", "1,x,1"])
+    assert code == 2
+    assert json.loads(out)["error"] == "parse-error"
+
+
+def test_dynamics_malformed_v0_list_exits_2(capsys, path3_file):
+    argv = ["dynamics", "--graph", path3_file, "--beta", "2.0", "--delta", "1.0", "--t-end", "1.0"]
+    code, out = run_cli(capsys, argv + ["--v0-list", "0.5,abc,0.5"])
+    assert code == 2
+    assert json.loads(out)["error"] == "parse-error"
+
+
+def test_kn_malformed_tau_list_exits_2(capsys):
+    code, out = run_cli(capsys, ["kn", "--tau-list", "1,,2"])
+    assert code == 2
+    assert json.loads(out)["error"] == "parse-error"
+
+
 def test_threshold_regimes(capsys, triangle_file):
     for tau, expected in (("0.4", "not_infected"), ("0.5", "critical"), ("0.6", "infected")):
         _, out = run_cli(capsys, ["threshold", "--graph", triangle_file, "--tau", tau])

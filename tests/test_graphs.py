@@ -158,6 +158,15 @@ def test_rate_config_arrays_immutable():
         r.beta[0] = 9.0
 
 
+def test_graph_and_rates_compare_and_hash_by_identity():
+    edges = [(0, 1), (1, 2)]
+    g, twin = Graph.from_edges(edges), Graph.from_edges(edges)
+    r = RateConfig.for_graph(g, 1.0, 1.0)
+    assert g == g and g != twin
+    assert r == r and r != RateConfig.for_graph(g, 1.0, 1.0)
+    assert len({g, twin, g}) == 2 and len({r, r}) == 1
+
+
 def test_spectral_radius_lazy_and_kept():
     g = random_connected_graph(12, np.random.default_rng(5))
     assert "spectral_radius" not in vars(g)  # construction does not pay for it

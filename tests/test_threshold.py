@@ -76,6 +76,21 @@ def test_critical_scaling_random_graph_against_lapack():
     assert abs(s - 1.0 / eigvalsh_lambda_max(g.adjacency)) < 1e-8
 
 
+def test_critical_scaling_uses_one_eigensolve_plus_check(monkeypatch):
+    import hetsis.threshold
+
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape)
+        return dominant_eigenpair(m)
+
+    monkeypatch.setattr(hetsis.threshold, "dominant_eigenpair", counting)
+    g = random_connected_graph(30, np.random.default_rng(8))
+    critical_scaling(g, np.random.default_rng(9).uniform(0.2, 3.0, g.n))
+    assert len(calls) == 2
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=2, max_value=15), st.integers(min_value=0, max_value=10**6))
 def test_critical_scaling_heterogeneous_direction(n, seed):
