@@ -4,15 +4,19 @@ These are the ground-truth oracles the mean-field model is measured
 against.  The exact continuous-time chain lives on all 2^N subsets of
 infected nodes (bit i set means node i infected, the empty set is
 absorbing); transients are computed by uniformization.  The event-driven
-simulator runs independent replicas one after another in the calling
-thread, each with a counter-based RNG keyed by (seed XOR replica), so
-results are bit-reproducible for a given seed.
+simulator advances blocks of independent replicas together in the calling
+thread, one event per live replica per step, as (replicas x n) arrays.
+Each replica draws from its own counter-based RNG keyed by (seed XOR
+replica), so results are bit-reproducible for a given seed and equal to
+running the replicas one after another.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,6 +36,8 @@ __all__ = [
 
 _MAX_EXACT_NODES = 14
 _POISSON_TAIL = 1e-12
+_BLOCK = 256  # replicas advanced together; bounds the draws held at once
+_CHUNK = 1024  # draws taken from each replica's stream per refill
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,15 @@ class ExactChain:
     n: int
     generator: sp.csr_matrix = field(repr=False)
     uniformization_rate: float
+
+    @cached_property
+    def transition_t(self) -> sp.csr_matrix:
+        """(I + G/rate)^T as CSR, built on first use and kept (the chain is frozen).
+
+        Uniformization's step p <- p P, done as P^T p on column vectors.
+        """
+        size = 1 << self.n
+        return (sp.eye(size, format="csr") + self.generator / self.uniformization_rate).T.tocsr()
 
 
 def build_exact_chain(g: Graph, rates: RateConfig) -> ExactChain:
@@ -92,8 +107,6 @@ def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.nd
     mu = rate * t
     if mu == 0.0:
         return p0.copy()
-    # left multiplication p <- p P done as P^T p on column vectors
-    transition_t = (sp.eye(size, format="csr") + chain.generator / rate).T.tocsr()
 
     log_mu = math.log(mu)
     result = np.zeros(size)
@@ -104,7 +117,7 @@ def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.nd
         weight = math.exp(k * log_mu - mu - math.lgamma(k + 1))
         result += weight * x
         cumulative += weight
-        x = transition_t @ x
+        x = chain.transition_t @ x
         k += 1
         if k > mu + 100.0 * math.sqrt(mu + 1.0) + 100.0:
             raise NumericalError("uniformization series failed to terminate", code="no-convergence")
@@ -135,7 +148,8 @@ class SimEstimate:
 
     prevalence_mean[i] averages node i's infected-time fraction over the
     window [burn_in, horizon] across surviving replicas; stderr is the
-    replica-to-replica standard error of that mean.
+    replica-to-replica standard error of that mean.  events counts the
+    cures and infections simulated, summed over all replicas.
     """
 
     prevalence_mean: np.ndarray
@@ -144,84 +158,99 @@ class SimEstimate:
     replicas: int
     seed: int
     survival_fraction: float
+    events: int
 
 
-class _DrawBuffer:
-    """Chunked draws from one replica's counter-based generator."""
-
-    def __init__(self, key: int, chunk: int = 1024):
-        self._rng = np.random.Generator(np.random.Philox(key=key))
-        self._chunk = chunk
-        self._exp = np.empty(0)
-        self._uni = np.empty(0)
-        self._ei = 0
-        self._ui = 0
-
-    def exponential(self) -> float:
-        if self._ei >= self._exp.size:
-            self._exp = self._rng.standard_exponential(self._chunk)
-            self._ei = 0
-        value = self._exp[self._ei]
-        self._ei += 1
-        return float(value)
-
-    def uniform(self) -> float:
-        if self._ui >= self._uni.size:
-            self._uni = self._rng.random(self._chunk)
-            self._ui = 0
-        value = self._uni[self._ui]
-        self._ui += 1
-        return float(value)
-
-
-def _run_replica(
+def _run_block(
     g: Graph,
     rates: RateConfig,
     horizon: float,
     burn_in: float,
-    key: int,
-) -> tuple[np.ndarray, bool]:
-    """One event-driven trajectory from the all-infected state.
+    keys: list[int],
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Event-driven trajectories from the all-infected state, one per key.
 
-    Returns (occupancy over [burn_in, horizon], survived), where
-    occupancy[i] is node i's total infected time inside the window.
+    Every live replica advances by one event per step, so all of them sit
+    at the same event index and refill their draws on the same step.
+    Replicas that are absorbed or reach the horizon are written out and
+    dropped.  Returns (occupancy, survived, events): occupancy[r, i] is
+    node i's total infected time inside [burn_in, horizon] in replica r.
     """
-    n = g.n
-    draws = _DrawBuffer(key)
+    n, size = g.n, len(keys)
     adjacency, beta, delta = g.adjacency, rates.beta, rates.delta
-    links = adjacency.astype(np.int64)
-    infected = np.ones(n, dtype=bool)
-    # exact count of infected neighbours; pressure is their summed beta,
-    # which float updates leave with rounding residue, so a node whose
-    # count is zero gets an infection rate of exactly zero
-    exposed = g.degrees.copy()
-    pressure = adjacency @ beta
-    occupancy = np.zeros(n)
-    rate = np.empty(2 * n)  # cure rates, then infection rates
-    cure, infect = rate[:n], rate[n:]
-    t = 0.0
-    while True:
-        np.multiply(delta, infected, out=cure)
-        np.multiply(pressure, ~infected & (exposed > 0), out=infect)
-        cumulative = np.cumsum(rate)
-        total = float(cumulative[-1])
-        if total == 0.0:
-            # absorbed: nothing more happens for the rest of the horizon
-            return occupancy, False
-        t_next = t + draws.exponential() / total
-        left = max(t, burn_in)
-        right = min(t_next, horizon)
-        if right > left:
-            occupancy[infected] += right - left
-        if t_next >= horizon:
-            return occupancy, bool(infected.any())
-        event = int(np.searchsorted(cumulative, draws.uniform() * total, side="right"))
+    streams = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+    # draws stay indexed by block row; live replicas read column step % _CHUNK
+    waits = np.empty((size, _CHUNK))
+    picks = np.empty((size, _CHUNK))
+    occupancy_out = np.zeros((size, n))
+    survived = np.zeros(size, dtype=bool)
+
+    # one row per live replica; live[k] is the block row of row k
+    live = np.arange(size)
+    infected = np.ones((size, n), dtype=bool)
+    # exact count of infected neighbours (small integers, exact in float);
+    # pressure is their summed beta, which float updates leave with rounding
+    # residue, so a node whose count is zero gets an infection rate of exactly 0
+    exposed = np.tile(g.degrees.astype(float), (size, 1))
+    pressure = np.tile(adjacency @ beta, (size, 1))
+    occupancy = np.zeros((size, n))
+    rate = np.tile(np.concatenate([delta, np.zeros(n)]), (size, 1))  # cure, then infection rates
+    t = np.zeros(size)
+    events = 0
+    step = 0
+    while live.size:
+        column = step % _CHUNK
+        if column == 0:
+            # each stream yields a chunk of exponentials, then one of uniforms
+            for replica in live:
+                streams[replica].standard_exponential(out=waits[replica])
+                streams[replica].random(out=picks[replica])
+        np.multiply(pressure, ~infected & (exposed > 0), out=rate[:, n:])
+        cumulative = np.cumsum(rate, axis=1)
+        total = cumulative[:, -1]
+        absorbed = total == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_next = t + waits[live, column] / total
+        left = np.maximum(t, burn_in)
+        right = np.minimum(t_next, horizon)
+        inside = right > left
+        if inside.any():
+            occupancy += infected * np.where(inside, right - left, 0.0)[:, None]
+        ended = absorbed | (t_next >= horizon)
+        if ended.any():
+            # an absorbed replica stays absorbed for the rest of the horizon
+            done = live[ended]
+            occupancy_out[done] = occupancy[ended]
+            survived[done] = ~absorbed[ended] & infected[ended].any(axis=1)
+            going = ~ended
+            live, infected, exposed, pressure, occupancy, rate = (
+                live[going], infected[going], exposed[going], pressure[going], occupancy[going], rate[going])
+            t_next, cumulative, total = t_next[going], cumulative[going], total[going]
+            if not live.size:
+                break
+        # searchsorted(side="right") of each row's draw in its cumulative sum
+        event = (cumulative <= (picks[live, column] * total)[:, None]).sum(axis=1)
+        rows = np.arange(live.size)
         node = event % n
-        infected[node] = event >= n  # an infection event, else a cure
-        sign = 1 if infected[node] else -1
-        exposed += sign * links[node]
-        pressure += sign * beta[node] * adjacency[node]
+        gained = event >= n  # an infection event, else a cure
+        infected[rows, node] = gained
+        rate[rows, node] = delta[node] * gained
+        # neighbour rows of the flipped nodes, signed +1 for an infection
+        change = adjacency[node]
+        change *= np.where(gained, 1.0, -1.0)[:, None]
+        exposed += change
+        pressure += beta[node][:, None] * change
         t = t_next
+        events += live.size
+        step += 1
+    return occupancy_out, survived, events
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}", code="invalid-argument") from None
 
 
 def simulate(
@@ -239,20 +268,27 @@ def simulate(
     ``horizon``; replicas absorbed before the horizon are excluded
     (conditioning on survival).  Replica r draws from a Philox stream
     keyed by seed XOR r, so the estimate is bit-reproducible for a given
-    seed.  Replicas run in order in the calling thread; ``max_workers``
-    is accepted for compatibility and ignored.
+    seed.  Replicas advance together in blocks, in the calling thread;
+    ``max_workers`` is accepted for compatibility and ignored.
     """
     if not np.isfinite(horizon) or not np.isfinite(burn_in) or burn_in < 0 or horizon <= burn_in:
         raise InputError("need 0 <= burn_in < horizon", code="invalid-argument")
+    replicas, seed = _integer(replicas, "replicas"), _integer(seed, "seed")
     if replicas < 1:
         raise InputError("replicas must be at least 1", code="invalid-argument")
     if seed < 0:
         raise InputError("seed must be non-negative", code="invalid-argument")
 
-    results = [_run_replica(g, rates, horizon, burn_in, seed ^ r) for r in range(replicas)]
+    occupancy = np.empty((replicas, g.n))
+    survived = np.empty(replicas, dtype=bool)
+    events = 0
+    for start in range(0, replicas, _BLOCK):
+        stop = min(start + _BLOCK, replicas)
+        keys = [seed ^ r for r in range(start, stop)]
+        occupancy[start:stop], survived[start:stop], block_events = _run_block(g, rates, horizon, burn_in, keys)
+        events += block_events
 
-    window = horizon - burn_in
-    survivors = np.array([occ / window for occ, alive in results if alive])
+    survivors = occupancy[survived] / (horizon - burn_in)
     n_alive = survivors.shape[0]
     if n_alive == 0:
         raise NumericalError(
@@ -271,4 +307,5 @@ def simulate(
         replicas=replicas,
         seed=seed,
         survival_fraction=n_alive / replicas,
+        events=events,
     )

@@ -5,13 +5,17 @@ small cases; the simulator against bit-reproducibility contracts and the
 exact chain itself.
 """
 
+import math
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from hetsis import (
+    Graph,
     InputError,
     NumericalError,
     RateConfig,
@@ -19,12 +23,13 @@ from hetsis import (
     conditional_marginals,
     integrate,
     marginals,
+    markov,
     simulate,
     solve,
     transient_distribution,
 )
 
-from conftest import complete_graph, path_graph, random_connected_graph, star_graph
+from conftest import complete_graph, path_graph, random_connected_graph, random_rates_at, star_graph
 
 
 def all_infected_p0(n: int) -> np.ndarray:
@@ -103,6 +108,21 @@ def test_transient_matches_dense_matrix_exponential():
         assert np.abs(transient_distribution(chain, p0, t) - expected).max() < 1e-10
 
 
+def test_transient_builds_uniformized_matrix_once(monkeypatch):
+    g = star_graph(4)
+    chain = build_exact_chain(g, RateConfig.for_graph(g, 1.5, 1.0))
+    assert "transition_t" not in vars(chain)  # construction does not pay for it
+    builds = []
+    eye = sp.eye
+    monkeypatch.setattr(sp, "eye", lambda *a, **k: builds.append(a) or eye(*a, **k))
+    first = transient_distribution(chain, all_infected_p0(4), 2.0)
+    kept = vars(chain)["transition_t"]
+    second = transient_distribution(chain, all_infected_p0(4), 2.0)
+    assert len(builds) == 1
+    assert vars(chain)["transition_t"] is kept
+    assert np.array_equal(first, second)
+
+
 def test_long_horizon_absorbs_below_threshold():
     g = path_graph(2)
     chain = build_exact_chain(g, RateConfig.for_graph(g, 0.5, 1.0))
@@ -172,12 +192,28 @@ def test_simulate_bit_reproducible():
 
 
 def test_simulate_independent_of_worker_count():
-    # replicas always run serially; max_workers is accepted and ignored
+    # max_workers is accepted and ignored
     g = complete_graph(3)
     r = RateConfig.for_graph(g, 2.0, 1.0)
     serial = simulate(g, r, horizon=8.0, burn_in=2.0, replicas=40, seed=3)
     pooled = simulate(g, r, horizon=8.0, burn_in=2.0, replicas=40, seed=3, max_workers=4)
     assert np.array_equal(serial.prevalence_mean, pooled.prevalence_mean)
+
+
+@contextmanager
+def within_seconds(seconds: int):
+    """Turn a simulation that never returns into a TimeoutError."""
+
+    def deadline(signum, frame):
+        raise TimeoutError(f"simulate did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, deadline)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_simulate_terminates_when_float_pressure_leaves_residue():
@@ -186,17 +222,8 @@ def test_simulate_terminates_when_float_pressure_leaves_residue():
     # the total rate negative, and replica key 1 ran backward in time forever
     g = path_graph(4)
     r = RateConfig.for_graph(g, 1.3 * np.array([1.5, 5 / 6, 7 / 6, 0.5]), [0.5, 5 / 6, 7 / 6, 1.5])
-
-    def deadline(signum, frame):
-        raise TimeoutError("simulate did not return within 10 s")
-
-    previous = signal.signal(signal.SIGALRM, deadline)
-    signal.alarm(10)
-    try:
+    with within_seconds(10):
         est = simulate(g, r, horizon=3.0, burn_in=0.5, replicas=2, seed=0, max_workers=1)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert 0.0 <= est.survival_fraction <= 1.0
 
 
@@ -260,6 +287,155 @@ def test_simulate_argument_validation():
         simulate(g, r, horizon=4.0, burn_in=1.0, replicas=0, seed=0)
     with pytest.raises(InputError, match="seed"):
         simulate(g, r, horizon=4.0, burn_in=1.0, replicas=4, seed=-1)
+
+
+def test_simulate_rejects_non_integer_replicas():
+    g = complete_graph(3)
+    r = RateConfig.for_graph(g, 2.0, 1.0)
+    with pytest.raises(InputError, match="replicas must be an integer") as info:
+        simulate(g, r, horizon=4.0, burn_in=1.0, replicas=2.0, seed=0)
+    assert info.value.code == "invalid-argument"
+    est = simulate(g, r, horizon=4.0, burn_in=1.0, replicas=np.int64(4), seed=0)
+    assert est.replicas == 4
+
+
+def test_simulate_rejects_non_integer_seed():
+    g = complete_graph(3)
+    r = RateConfig.for_graph(g, 2.0, 1.0)
+    with pytest.raises(InputError, match="seed must be an integer") as info:
+        simulate(g, r, horizon=4.0, burn_in=1.0, replicas=4, seed=1.5)
+    assert info.value.code == "invalid-argument"
+    a = simulate(g, r, horizon=4.0, burn_in=1.0, replicas=4, seed=np.uint32(3))
+    b = simulate(g, r, horizon=4.0, burn_in=1.0, replicas=4, seed=3)
+    assert np.array_equal(a.prevalence_mean, b.prevalence_mean)
+
+
+# Serial reference for the lockstep simulator: one replica at a time, event
+# by event, drawing from its own Philox stream in chunks of 1024 exponentials
+# and then 1024 uniforms, exactly as the package's simulator did before its
+# replicas advanced together.  It counts its own events.
+
+
+class _SerialDraws:
+    def __init__(self, key: int, chunk: int = 1024):
+        self._rng = np.random.Generator(np.random.Philox(key=key))
+        self._chunk = chunk
+        self._exp = np.empty(0)
+        self._uni = np.empty(0)
+        self._ei = 0
+        self._ui = 0
+
+    def exponential(self) -> float:
+        if self._ei >= self._exp.size:
+            self._exp = self._rng.standard_exponential(self._chunk)
+            self._ei = 0
+        self._ei += 1
+        return float(self._exp[self._ei - 1])
+
+    def uniform(self) -> float:
+        if self._ui >= self._uni.size:
+            self._uni = self._rng.random(self._chunk)
+            self._ui = 0
+        self._ui += 1
+        return float(self._uni[self._ui - 1])
+
+
+def _serial_replica(g, rates, horizon, burn_in, key):
+    """Returns (occupancy over [burn_in, horizon], survived, events)."""
+    n = g.n
+    draws = _SerialDraws(key)
+    adjacency, beta, delta = g.adjacency, rates.beta, rates.delta
+    links = adjacency.astype(np.int64)
+    infected = np.ones(n, dtype=bool)
+    exposed = g.degrees.copy()
+    pressure = adjacency @ beta
+    occupancy = np.zeros(n)
+    rate = np.empty(2 * n)
+    cure, infect = rate[:n], rate[n:]
+    t = 0.0
+    events = 0
+    while True:
+        np.multiply(delta, infected, out=cure)
+        np.multiply(pressure, ~infected & (exposed > 0), out=infect)
+        cumulative = np.cumsum(rate)
+        total = float(cumulative[-1])
+        if total == 0.0:
+            return occupancy, False, events
+        t_next = t + draws.exponential() / total
+        left = max(t, burn_in)
+        right = min(t_next, horizon)
+        if right > left:
+            occupancy[infected] += right - left
+        if t_next >= horizon:
+            return occupancy, bool(infected.any()), events
+        event = int(np.searchsorted(cumulative, draws.uniform() * total, side="right"))
+        node = event % n
+        infected[node] = event >= n
+        sign = 1 if infected[node] else -1
+        exposed += sign * links[node]
+        pressure += sign * beta[node] * adjacency[node]
+        t = t_next
+        events += 1
+
+
+def _serial_simulate(g, rates, horizon, burn_in, replicas, seed):
+    runs = [_serial_replica(g, rates, horizon, burn_in, seed ^ r) for r in range(replicas)]
+    survivors = np.array([occ / (horizon - burn_in) for occ, alive, _ in runs if alive])
+    prevalence = survivors.mean(axis=0)
+    stderr = survivors.std(axis=0, ddof=1) / math.sqrt(survivors.shape[0])
+    return prevalence, stderr, survivors.shape[0] / replicas, [events for _, _, events in runs]
+
+
+def _gnm_12_26():
+    # a random spanning tree plus random extra edges: connected, 12 nodes, 26 edges
+    rng = np.random.default_rng(12)
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, 12)}
+    pairs = [(i, j) for i in range(12) for j in range(i + 1, 12) if (i, j) not in edges]
+    edges |= {pairs[k] for k in rng.choice(len(pairs), 26 - len(edges), replace=False)}
+    g = Graph.from_edges(sorted(edges))
+    assert int(g.adjacency.sum()) == 2 * 26
+    return g, random_rates_at(g, rng, 2.0), {"horizon": 3.0, "burn_in": 0.5, "replicas": 300, "seed": 9}
+
+
+def _residue_path():
+    g = path_graph(4)
+    r = RateConfig.for_graph(g, 1.3 * np.array([1.5, 5 / 6, 7 / 6, 0.5]), [0.5, 5 / 6, 7 / 6, 1.5])
+    return g, r, {"horizon": 3.0, "burn_in": 0.5, "replicas": 64, "seed": 0}
+
+
+def _mostly_absorbed():
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(10, rng, extra=0.3)
+    r = random_rates_at(g, np.random.default_rng(1), 0.6)
+    return g, r, {"horizon": 6.0, "burn_in": 0.5, "replicas": 100, "seed": 2}
+
+
+def _long_run_n60():
+    rng = np.random.default_rng(8)
+    g = random_connected_graph(60, rng, extra=0.05)
+    return g, random_rates_at(g, rng, 3.0), {"horizon": 20.0, "burn_in": 2.0, "replicas": 3, "seed": 5}
+
+
+@pytest.mark.parametrize(
+    "case, covers",
+    [
+        (_gnm_12_26, lambda kw, surv, events: kw["replicas"] > markov._BLOCK),
+        (_residue_path, lambda kw, surv, events: surv < 1.0),
+        (_mostly_absorbed, lambda kw, surv, events: surv < 0.5),
+        (_long_run_n60, lambda kw, surv, events: min(events) > 1024),
+    ],
+    ids=["block-boundary", "pressure-residue", "mostly-absorbed", "draw-refill"],
+)
+def test_simulate_bit_identical_to_serial_reference(case, covers):
+    g, r, kw = case()
+    prevalence, stderr, survival, events = _serial_simulate(g, r, **kw)
+    assert covers(kw, survival, events)  # the case exercises what its id names
+    with within_seconds(10):
+        est = simulate(g, r, **kw)
+    assert np.array_equal(est.prevalence_mean, prevalence)
+    assert np.array_equal(est.stderr, stderr)
+    assert est.survival_fraction == survival
+    assert est.events == sum(events)
 
 
 def test_extinct_regime_consistency_between_oracle_and_solver():
