@@ -40,7 +40,7 @@ _BLOCK = 256  # replicas advanced together; bounds the draws held at once
 _CHUNK = 1024  # draws taken from each replica's stream per refill
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactChain:
     """Generator of the 2^n-state infection chain (rows = from-state)."""
 
@@ -142,7 +142,7 @@ def conditional_marginals(chain: ExactChain, p: np.ndarray) -> np.ndarray:
     return marginals(chain, q) / alive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimEstimate:
     """Time-averaged infection estimates conditioned on survival.
 

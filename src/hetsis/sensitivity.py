@@ -9,11 +9,11 @@ which is similar to a symmetric positive definite matrix at every
 endemic state.  ``sensitivity_matrix`` builds S and checks that through
 a Cholesky factorization of the symmetric form; each endemic state is
 linearized once, and every derivative below is a product with that one
-S^{-1}.  First and second derivatives, a Schur-complement
-route to the own-rate derivative through the node-deleted graph, a
-curvature diagnostic matrix, convexity verdicts over curing-rate sweeps,
-and an optimal protection-cost trade-off all live here, together with a
-ledger of identities and inequalities satisfied by S^{-1}.
+S^{-1}.  First and second derivatives, a Schur-complement route to the
+own-rate derivative through the node-deleted graph, a curvature
+diagnostic matrix, convexity verdicts over curing-rate sweeps, an
+optimal curing rate (a grid walk, as v_i is convex in delta_i) and a
+ledger of identities and inequalities on S^{-1} all live here.
 """
 
 from __future__ import annotations
@@ -50,9 +50,12 @@ def _require_endemic(ss: SteadyState) -> None:
         raise InputError("sensitivity requires an endemic steady state", code="requires-endemic")
 
 
+def _uniform(x: np.ndarray) -> bool:
+    return float(np.abs(x - x[0]).max()) <= 1e-12 * float(x.max())
+
+
 def _require_tied(rates: RateConfig) -> None:
-    d = rates.delta
-    if float(np.abs(d - d[0]).max()) > 1e-12 * float(d.max()):
+    if not _uniform(rates.delta):
         raise InputError("tied mode requires homogeneous curing rates", code="tied-requires-homogeneous-delta")
 
 
@@ -236,9 +239,8 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     return f, derivative
 
 
-def _own_rate_derivative(g: Graph, rates: RateConfig, i: int, delta_i: float, tol: float) -> float | None:
-    """dv_i/d delta_i with node i's curing rate replaced; None if the
-    configuration is not endemic (or sits on the surface)."""
+def _with_curing_rate(g: Graph, rates: RateConfig, i: int, delta_i: float, tol: float):
+    """(rates, steady state) with delta_i at node i; None unless solved and endemic."""
     delta = rates.delta.copy()
     delta[i] = delta_i
     trial = RateConfig.for_graph(g, rates.beta, delta)
@@ -246,10 +248,7 @@ def _own_rate_derivative(g: Graph, rates: RateConfig, i: int, delta_i: float, to
         ss = solve(g, trial, tol=tol)
     except NumericalError:
         return None
-    if ss.regime != "endemic":
-        return None
-    _, derivative = schur_derivative(g, trial, ss, i)
-    return derivative
+    return (trial, ss) if ss.regime == "endemic" else None
 
 
 def optimal_curing_rate(
@@ -262,9 +261,11 @@ def optimal_curing_rate(
 ) -> float:
     """Curing rate minimizing price * delta_i + v_i at fixed other rates.
 
-    Stationarity means price = -dv_i/d delta_i.  The optimality residual
-    is scanned over a geometric grid of candidate rates inside the
-    endemic regime, then bisected to ``tol``.  The optimum always exceeds
+    Stationarity means price = -dv_i/d delta_i.  As v_i is convex in delta_i,
+    the residual r = price + dv_i/d delta_i rises with delta_i: on the grid
+    delta_i * geomspace(1e-3, 1e3, 49) the search walks from delta_i (up if
+    r < 0 there, else down) to the adjacent endemic pair where r turns
+    non-negative and bisects it to ``tol``.  The optimum always exceeds
     (1 - v_i) v_i / price, which is asserted on the result.
     """
     if not 0 <= i < g.n:
@@ -273,27 +274,24 @@ def optimal_curing_rate(
         raise InputError("price must be strictly positive and finite", code="invalid-argument")
 
     def residual(delta_i: float) -> float | None:
-        derivative = _own_rate_derivative(g, rates, i, delta_i, solver_tol)
-        return None if derivative is None else price + derivative
+        solved = _with_curing_rate(g, rates, i, delta_i, solver_tol)
+        return None if solved is None else price + schur_derivative(g, *solved, i)[1]
 
-    base = float(rates.delta[i])
-    grid = base * np.geomspace(1e-3, 1e3, 49)
-    values = [(x, residual(float(x))) for x in grid]
-    bracket = None
-    previous = None
-    for x, r in values:
-        if r is None:
-            previous = None
-            continue
-        if previous is not None and previous[1] * r <= 0.0:
-            bracket = (previous[0], x)
-            break
-        previous = (x, r)
-    if bracket is None:
+    grid = float(rates.delta[i]) * np.geomspace(1e-3, 1e3, 49)  # grid[24] is delta_i itself
+    r_base = residual(float(grid[24]))
+    step = 1 if r_base is not None and r_base < 0.0 else -1
+    near = None if r_base is None else (grid[24], r_base)  # last endemic point walked
+    for x in grid[24 + step :: step]:
+        r = residual(float(x))
+        if r is None and near is None:
+            continue  # walking down, not yet inside the endemic run
+        if r is None or near is not None and (r < 0.0) != (near[1] < 0.0):
+            break  # left the endemic run (lambda_max(R) falls as delta_i rises), or r changed sign
+        near = (x, r)
+    if r is None or near is None or (r < 0.0) == (near[1] < 0.0):
         raise NumericalError("no interior optimum", code="no-interior-optimum")
 
-    lo, hi = bracket
-    r_lo = previous[1]  # residual at lo, from the grid scan
+    (lo, r_lo), hi = ((x, r), near[0]) if r < 0.0 else (near, x)
     while hi - lo > tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         r_mid = residual(mid)
@@ -305,9 +303,10 @@ def optimal_curing_rate(
             hi = mid
     best = 0.5 * (lo + hi)
 
-    delta = rates.delta.copy()
-    delta[i] = best
-    ss = solve(g, RateConfig.for_graph(g, rates.beta, delta), tol=solver_tol)
+    solved = _with_curing_rate(g, rates, i, best, solver_tol)
+    if solved is None:
+        raise NumericalError("no interior optimum", code="no-interior-optimum")
+    ss = solved[1]
     floor = (1.0 - ss.v_inf[i]) * ss.v_inf[i] / price
     if best <= floor - 1e-9 * max(1.0, floor):
         raise NumericalError("optimum below its structural floor", code="sign-violation")
@@ -333,16 +332,10 @@ def convexity_verdicts(
     counts = np.zeros(n, dtype=int)
     for i in range(n):
         for scale in scales:
-            delta = rates.delta.copy()
-            delta[i] = rates.delta[i] * scale
-            trial = RateConfig.for_graph(g, rates.beta, delta)
-            try:
-                ss = solve(g, trial, tol=solver_tol)
-            except NumericalError:
+            solved = _with_curing_rate(g, rates, i, rates.delta[i] * scale, solver_tol)
+            if solved is None:
                 continue
-            if ss.regime != "endemic":
-                continue
-            d2 = _Linearization.at(g, trial, ss).d2()[:, i]
+            d2 = _Linearization.at(g, *solved).d2()[:, i]
             signs_min[:, i] = np.minimum(signs_min[:, i], d2)
             signs_max[:, i] = np.maximum(signs_max[:, i], d2)
             counts[i] += 1
@@ -420,7 +413,7 @@ def inverse_checks(g: Graph, rates: RateConfig, ss: SteadyState, tol: float = 1e
     )
     inequality("neighbor_lower", neighbor_bound, inv, mask=(a > 0) & off)
 
-    if float(np.abs(beta - beta[0]).max()) <= 1e-12 * float(beta.max()):
+    if _uniform(beta):
         pair_mean = 0.5 * (diag[:, None] + diag[None, :])
         pair_geo = np.sqrt(diag[:, None] * diag[None, :])
         inequality("symmetric_upper", inv, np.minimum(pair_mean, pair_geo), mask=off)
@@ -465,7 +458,7 @@ def full_report(
     lin = _Linearization.at(g, rates, ss)
     if float(lin.inv.min()) < -1e-10:
         raise NumericalError("negative entry in inverse sensitivity matrix", code="sign-violation")
-    tied = float(np.abs(rates.delta - rates.delta[0]).max()) <= 1e-12 * float(rates.delta.max())
+    tied = _uniform(rates.delta)
     return SensitivityReport(
         s_matrix=lin.s,
         s_inverse=lin.inv,

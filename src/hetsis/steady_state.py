@@ -77,16 +77,20 @@ def _orbit(g: Graph, rates: RateConfig, v: np.ndarray):
 
 def _iterate(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: int):
     delta = rates.delta
+    previous = last = None
     for k, (v, pressure) in enumerate(_orbit(g, rates, v)):
         residual = float(np.abs(pressure - v * delta / (1.0 - v)).max())
         if residual <= tol:
             return v, k, residual
-        if k == max_iter:
+        # an iterate the map returns unchanged is final; compare arrays only when the residual repeats
+        stalled = residual == last and np.array_equal(v, previous)
+        if stalled or k == max_iter:
             raise NumericalError(
-                f"fixed-point iteration did not reach tolerance {tol:g} in {max_iter} iterations "
-                f"(residual {residual:.3e})",
+                f"fixed-point iteration did not reach tolerance {tol:g} in {k} iterations "
+                f"({'stalled at residual floor' if stalled else 'residual'} {residual:.3e})",
                 code="no-convergence",
             )
+        previous, last = v, residual
 
 
 def solve(g: Graph, rates: RateConfig, tol: float = 1e-10, max_iter: int = 10**6) -> SteadyState:

@@ -5,6 +5,9 @@ routines (numpy.linalg / brute-force enumeration instead) so that a bug
 in the implementation cannot silently validate itself.
 """
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 
 from hetsis import Graph, RateConfig, solve
@@ -51,6 +54,22 @@ def random_connected_graph(n: int, rng: np.random.Generator, extra: float = 0.15
                 edges.append((i, j))
                 present.add((i, j))
     return Graph.from_edges(edges)
+
+
+@contextmanager
+def within_seconds(seconds: int):
+    """Turn a call that never returns into a TimeoutError after ``seconds``."""
+
+    def deadline(signum, frame):
+        raise TimeoutError(f"call did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, deadline)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def homogeneous_rates(g: Graph, tau: float, delta: float = 1.0) -> RateConfig:

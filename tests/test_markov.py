@@ -6,8 +6,6 @@ exact chain itself.
 """
 
 import math
-import signal
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -29,7 +27,14 @@ from hetsis import (
     transient_distribution,
 )
 
-from conftest import complete_graph, path_graph, random_connected_graph, random_rates_at, star_graph
+from conftest import (
+    complete_graph,
+    path_graph,
+    random_connected_graph,
+    random_rates_at,
+    star_graph,
+    within_seconds,
+)
 
 
 def all_infected_p0(n: int) -> np.ndarray:
@@ -123,6 +128,17 @@ def test_transient_builds_uniformized_matrix_once(monkeypatch):
     assert np.array_equal(first, second)
 
 
+def test_chain_and_estimate_compare_and_hash_by_identity():
+    g = complete_graph(3)
+    r = RateConfig.for_graph(g, 2.0, 1.0)
+    chain, twin = build_exact_chain(g, r), build_exact_chain(g, r)
+    assert chain == chain and chain != twin
+    assert len({chain, twin, chain}) == 2
+    est = simulate(g, r, horizon=2.0, burn_in=0.5, replicas=4, seed=1)
+    assert est == est and est != simulate(g, r, horizon=2.0, burn_in=0.5, replicas=4, seed=1)
+    assert len({est, est}) == 1
+
+
 def test_long_horizon_absorbs_below_threshold():
     g = path_graph(2)
     chain = build_exact_chain(g, RateConfig.for_graph(g, 0.5, 1.0))
@@ -198,22 +214,6 @@ def test_simulate_independent_of_worker_count():
     serial = simulate(g, r, horizon=8.0, burn_in=2.0, replicas=40, seed=3)
     pooled = simulate(g, r, horizon=8.0, burn_in=2.0, replicas=40, seed=3, max_workers=4)
     assert np.array_equal(serial.prevalence_mean, pooled.prevalence_mean)
-
-
-@contextmanager
-def within_seconds(seconds: int):
-    """Turn a simulation that never returns into a TimeoutError."""
-
-    def deadline(signum, frame):
-        raise TimeoutError(f"simulate did not return within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, deadline)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_simulate_terminates_when_float_pressure_leaves_residue():

@@ -27,6 +27,7 @@ from hetsis import (
     optimal_curing_rate,
     schur_derivative,
     second_derivatives,
+    sensitivity,
     sensitivity_matrix,
     solve,
 )
@@ -302,6 +303,160 @@ def test_optimal_curing_rate_argument_validation():
         optimal_curing_rate(g, r, 7, price=0.3)
     with pytest.raises(InputError):
         optimal_curing_rate(g, r, 0, price=-1.0)
+
+
+def own_rate_derivative(g, rates, i, delta_i, solver_tol=1e-12):
+    """dv_i/d delta_i with node i's curing rate set to delta_i; None if that
+    configuration is not endemic or its solve fails."""
+    delta = rates.delta.copy()
+    delta[i] = delta_i
+    trial = RateConfig.for_graph(g, rates.beta, delta)
+    try:
+        ss = solve(g, trial, tol=solver_tol)
+    except NumericalError:
+        return None
+    if ss.regime != "endemic":
+        return None
+    return schur_derivative(g, trial, ss, i)[1]
+
+
+def eager_optimal_curing_rate(g, rates, i, price, tol=1e-8, solver_tol=1e-12):
+    """Reference: solve all 49 grid points, bracket the first sign change of
+    the residual from the low end, bisect it and check the structural floor."""
+
+    def residual(delta_i):
+        derivative = own_rate_derivative(g, rates, i, delta_i, solver_tol)
+        return None if derivative is None else price + derivative
+
+    grid = float(rates.delta[i]) * np.geomspace(1e-3, 1e3, 49)
+    values = [(x, residual(float(x))) for x in grid]
+    bracket = None
+    previous = None
+    for x, r in values:
+        if r is None:
+            previous = None
+            continue
+        if previous is not None and previous[1] * r <= 0.0:
+            bracket = (previous[0], x)
+            break
+        previous = (x, r)
+    if bracket is None:
+        raise NumericalError("no interior optimum", code="no-interior-optimum")
+    lo, hi = bracket
+    r_lo = previous[1]
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        r_mid = residual(mid)
+        if r_mid is None:
+            raise NumericalError("no interior optimum", code="no-interior-optimum")
+        if (r_lo <= 0.0) == (r_mid <= 0.0):
+            lo, r_lo = mid, r_mid
+        else:
+            hi = mid
+    best = 0.5 * (lo + hi)
+    delta = rates.delta.copy()
+    delta[i] = best
+    ss = solve(g, RateConfig.for_graph(g, rates.beta, delta), tol=solver_tol)
+    floor = (1.0 - ss.v_inf[i]) * ss.v_inf[i] / price
+    if best <= floor - 1e-9 * max(1.0, floor):
+        raise NumericalError("optimum below its structural floor", code="sign-violation")
+    return best
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NumericalError as exc:
+        return exc.code
+
+
+def random_case():
+    """Random 7-node graph, heterogeneous rates; the hub priced at half its
+    own-rate slope, which puts the optimum above its curing rate."""
+    rng = np.random.default_rng(4)
+    g = random_connected_graph(7, rng)
+    r = random_rates_at(g, rng, 2.0)
+    hub = int(np.argmax(g.degrees))
+    d1 = first_derivatives(g, r, solve(g, r, tol=1e-12))
+    return g, r, hub, 0.5 * abs(d1[hub, hub])
+
+
+def optimum_cases():
+    star = star_graph(5)
+    star_rates = homogeneous_rates(star, 2.0)
+    k3 = complete_graph(3)
+    path = path_graph(5)
+    path_rates = RateConfig.for_graph(path, 0.62, [1.0, 1.0, 3.0, 1.0, 1.0])
+    return {
+        "star-hub": (star, star_rates, 0, 0.05),
+        "star-leaf": (star, star_rates, 1, 0.05),
+        "k3-below": (k3, RateConfig.for_graph(k3, 1.0, [2.0, 1.0, 1.0]), 0, 0.3),
+        "k3-at-delta": (k3, RateConfig.for_graph(k3, 1.0, 1.0), 0, 0.3),  # residual 2.5e-13 at delta_i
+        "random-hub": random_case(),
+        "k3-price-high": (k3, RateConfig.for_graph(k3, 1.0, 1.0), 0, 1000.0),
+        "star-leaves-endemic-run": (star, star_rates, 0, 1e-4),
+        "path-extinct-at-delta": (path, path_rates, 2, 0.3),
+        "path-optimum-below-extinct-delta": (path, path_rates, 2, 0.5),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, side",
+    [
+        ("star-hub", "above"),
+        ("star-leaf", "above"),
+        ("k3-below", "below"),
+        ("k3-at-delta", "below"),
+        ("random-hub", "above"),
+        ("k3-price-high", "no-interior-optimum"),
+        ("star-leaves-endemic-run", "no-interior-optimum"),
+        ("path-extinct-at-delta", "no-interior-optimum"),
+        ("path-optimum-below-extinct-delta", "below"),
+    ],
+)
+def test_optimal_curing_rate_matches_eager_scan(name, side):
+    g, r, i, price = optimum_cases()[name]
+    expected = outcome(eager_optimal_curing_rate, g, r, i, price)
+    assert outcome(optimal_curing_rate, g, r, i, price) == expected
+    if side == "no-interior-optimum":
+        assert expected == side
+    else:  # the case brackets on the side of delta_i its name says
+        assert (expected > r.delta[i]) == (side == "above")
+
+
+@pytest.mark.parametrize("name", ["star-hub", "star-leaf", "random-hub"])
+def test_optimal_curing_rate_solves_only_the_walked_points(name, monkeypatch):
+    g, r, i, price = optimum_cases()[name]
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "solve", counting_solve)
+    optimal_curing_rate(g, r, i, price)
+    assert 0 < len(calls) <= 35  # the eager scan made 75
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 5])
+def test_own_rate_residual_nondecreasing_over_the_grid(seed):
+    # v_i is convex in delta_i, so dv_i/d delta_i (and the residual
+    # price + dv_i/d delta_i) never falls as delta_i rises; the endemic grid
+    # points form one run, which is what lets the walk stop at its end.
+    # Close to the surface the hub's grid leaves the endemic regime.
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(8, rng)
+    r = random_rates_at(g, rng, 1.2)
+    hub, leaf = int(np.argmax(g.degrees)), int(np.argmin(g.degrees))
+    for i in (hub, leaf):
+        grid = float(r.delta[i]) * np.geomspace(1e-3, 1e3, 49)
+        profile = [own_rate_derivative(g, r, i, float(x)) for x in grid]
+        endemic = [k for k, d in enumerate(profile) if d is not None]
+        assert len(endemic) >= 10 and endemic == list(range(endemic[0], endemic[-1] + 1))
+        if i == hub:
+            assert endemic[-1] < len(grid) - 1
+        slopes = np.array([profile[k] for k in endemic])
+        assert np.all(np.diff(slopes) >= -1e-10 * np.abs(slopes[:-1]))
 
 
 def test_convexity_verdicts_frozen_cases():

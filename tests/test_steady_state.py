@@ -22,6 +22,7 @@ from conftest import (
     random_connected_graph,
     random_rates_at,
     star_graph,
+    within_seconds,
 )
 
 
@@ -75,6 +76,17 @@ def test_critical_configuration_is_an_error():
     g = complete_graph(3)
     with pytest.raises(NumericalError, match="at critical threshold, derivative undefined"):
         solve(g, RateConfig.for_graph(g, 0.5, 1.0))
+
+
+def test_stalled_iteration_raises_at_its_residual_floor():
+    # from iteration 7 the map returns its input exactly, with the residual
+    # 1.95e-12 above tol; the solver used to run on to max_iter (about 5 s)
+    g = star_graph(5)
+    r = RateConfig.for_graph(g, 2.0, [1e-3, 1.0, 1.0, 1.0, 1.0])
+    with within_seconds(1), pytest.raises(NumericalError, match=r"tolerance 1e-12 .*stalled at residual floor") as err:
+        solve(g, r, tol=1e-12)
+    assert err.value.code == "no-convergence"
+    assert solve(g, r, tol=1e-11).residual <= 1e-11  # the floor sits between the two tolerances
 
 
 def test_just_off_critical_converges():
