@@ -10,6 +10,7 @@ error, 3 numerical failure; failures emit {"error": code, "detail": msg}.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -95,17 +96,6 @@ def _add_rate_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rates", help='JSON file {"beta": [...], "delta": [...]}')
 
 
-def _bounds_doc(report: steady_state.BoundsReport) -> dict:
-    return {
-        "lower": report.lower,
-        "upper": report.upper,
-        "y_lower": report.y_lower,
-        "y_upper": report.y_upper,
-        "informative": report.informative,
-        "satisfied": report.satisfied,
-    }
-
-
 def _cmd_steady(args) -> str:
     g = _load_graph(args.graph)
     rates = _resolve_rates(g, args, allow_bare_tau=True)
@@ -116,7 +106,7 @@ def _cmd_steady(args) -> str:
         "y_inf": ss.y_inf,
         "iterations": ss.iterations,
         "residual": ss.residual,
-        "bounds": _bounds_doc(steady_state.bounds(g, rates, ss)),
+        "bounds": dataclasses.asdict(steady_state.bounds(g, rates, ss)),
     }
     return _fmt(doc)
 
@@ -134,8 +124,7 @@ def _cmd_dynamics(args) -> str:
         v0,
         args.t_end,
         dt_hint=args.dt_hint,
-        max_points=args.max_points,
-        full_resolution=args.full_resolution,
+        max_points=None if args.full_resolution else args.max_points,
     )
     lines = ["t," + ",".join(f"v{i}" for i in range(g.n))]
     for t, state in zip(traj.times, traj.states):

@@ -68,20 +68,22 @@ def integrate(
     v0: np.ndarray,
     t_end: float,
     dt_hint: float | None = None,
-    max_points: int = 2000,
-    full_resolution: bool = False,
+    max_points: int | None = 2000,
 ) -> Trajectory:
     """Integrate the mean-field equations from v0 over [0, t_end].
 
     The step is min(dt_hint, 0.1 / max_i(gamma_i + delta_i)).  States are
     clamped back into [0, 1] only when the overshoot is below 1e-9;
     anything larger aborts as an instability.  At most ``max_points``
-    samples are kept (evenly strided, endpoints always included) unless
-    ``full_resolution`` is set.
+    (at least 2) samples are kept, every stride-th step plus the last, so
+    both endpoints are always included; only those samples are stored.
+    ``max_points=None`` keeps every step.
     """
     v = _check_state(v0, g.n).copy()
     if not np.isfinite(t_end) or t_end < 0:
         raise InputError("t_end must be non-negative and finite", code="invalid-argument")
+    if max_points is not None and max_points < 2:
+        raise InputError("max_points must be at least 2", code="invalid-argument")
     dt = default_step(rates)
     if dt_hint is not None:
         if dt_hint <= 0:
@@ -89,10 +91,13 @@ def integrate(
         dt = min(dt, float(dt_hint))
 
     n_steps = 0 if t_end == 0 else int(np.ceil(t_end / dt - 1e-12))
-    times = [0.0]
-    states = [v.copy()]
+    stride = 1 if max_points is None or n_steps < max_points else int(np.ceil(n_steps / (max_points - 1)))
+    times = np.empty(-(-n_steps // stride) + 1)
+    states = np.empty((times.size, g.n))
+    times[0], states[0] = 0.0, v
+    slot = 1
     t = 0.0
-    for k in range(n_steps):
+    for k in range(1, n_steps + 1):
         h = min(dt, t_end - t)
         k1 = _rhs(g, rates, v)
         k2 = _rhs(g, rates, v + 0.5 * h * k1)
@@ -107,18 +112,13 @@ def integrate(
                 code="step-instability",
             )
         np.clip(v, 0.0, 1.0, out=v)
-        t = t_end if k == n_steps - 1 else t + h
-        times.append(t)
-        states.append(v.copy())
-
-    if not full_resolution and len(times) > max_points:
-        stride = int(np.ceil((len(times) - 1) / (max_points - 1)))
-        idx = list(range(0, len(times) - 1, stride)) + [len(times) - 1]
-        times = [times[i] for i in idx]
-        states = [states[i] for i in idx]
+        t = t_end if k == n_steps else t + h
+        if k % stride == 0 or k == n_steps:
+            times[slot], states[slot] = t, v
+            slot += 1
 
     return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
+        times=times,
+        states=states,
         terminal_residual=float(np.abs(_rhs(g, rates, v)).max()),
     )

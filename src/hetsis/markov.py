@@ -127,8 +127,8 @@ def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.nd
 def marginals(chain: ExactChain, p: np.ndarray) -> np.ndarray:
     """Per-node infection probabilities sum_{s: i in s} p_s."""
     p = np.asarray(p, dtype=float)
-    states = np.arange(1 << chain.n)
-    return np.array([p[((states >> i) & 1).astype(bool)].sum() for i in range(chain.n)])
+    # bit i of the state index is set exactly in the upper half of each block of 2^(i+1)
+    return np.array([p.reshape(-1, 2, 1 << i)[:, 1].sum() for i in range(chain.n)])
 
 
 def conditional_marginals(chain: ExactChain, p: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ ledger of identities and inequalities on S^{-1} all live here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
 _COND_LIMIT = 1e12
 _DEADBAND = 1e-8
 _PD_FLOOR = 1e-10  # smallest eigenvalue the symmetric form of S must exceed
+_SOLVE_TOL = 1e-12  # steady-state tolerance of every solve made here
 
 
 def _require_endemic(ss: SteadyState) -> None:
@@ -239,26 +241,19 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     return f, derivative
 
 
-def _with_curing_rate(g: Graph, rates: RateConfig, i: int, delta_i: float, tol: float):
+def _with_curing_rate(g: Graph, rates: RateConfig, i: int, delta_i: float):
     """(rates, steady state) with delta_i at node i; None unless solved and endemic."""
     delta = rates.delta.copy()
     delta[i] = delta_i
     trial = RateConfig.for_graph(g, rates.beta, delta)
     try:
-        ss = solve(g, trial, tol=tol)
+        ss = solve(g, trial, tol=_SOLVE_TOL)
     except NumericalError:
         return None
     return (trial, ss) if ss.regime == "endemic" else None
 
 
-def optimal_curing_rate(
-    g: Graph,
-    rates: RateConfig,
-    i: int,
-    price: float,
-    tol: float = 1e-8,
-    solver_tol: float = 1e-12,
-) -> float:
+def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float, tol: float = 1e-8) -> float:
     """Curing rate minimizing price * delta_i + v_i at fixed other rates.
 
     Stationarity means price = -dv_i/d delta_i.  As v_i is convex in delta_i,
@@ -274,7 +269,7 @@ def optimal_curing_rate(
         raise InputError("price must be strictly positive and finite", code="invalid-argument")
 
     def residual(delta_i: float) -> float | None:
-        solved = _with_curing_rate(g, rates, i, delta_i, solver_tol)
+        solved = _with_curing_rate(g, rates, i, delta_i)
         return None if solved is None else price + schur_derivative(g, *solved, i)[1]
 
     grid = float(rates.delta[i]) * np.geomspace(1e-3, 1e3, 49)  # grid[24] is delta_i itself
@@ -303,7 +298,7 @@ def optimal_curing_rate(
             hi = mid
     best = 0.5 * (lo + hi)
 
-    solved = _with_curing_rate(g, rates, i, best, solver_tol)
+    solved = _with_curing_rate(g, rates, i, best)
     if solved is None:
         raise NumericalError("no interior optimum", code="no-interior-optimum")
     ss = solved[1]
@@ -313,47 +308,37 @@ def optimal_curing_rate(
     return best
 
 
-def convexity_verdicts(
-    g: Graph,
-    rates: RateConfig,
-    scales=(0.6, 0.8, 1.0, 1.25, 1.5),
-    deadband: float = _DEADBAND,
-    solver_tol: float = 1e-12,
-) -> list[list[str]]:
+def convexity_verdicts(g: Graph, rates: RateConfig, scales=(0.6, 0.8, 1.0, 1.25, 1.5)) -> list[list[str]]:
     """Per-(k, i) verdicts in {convex, concave, indefinite} from the sign
     of d^2 v_k / d delta_i^2 as delta_i sweeps over scaled values.
 
     Sweep points that leave the endemic regime are skipped; if fewer than
-    two points of a sweep remain, the verdict is "indefinite".
+    two points of a sweep remain, the verdict is "indefinite".  Scale 1.0
+    leaves every rate as it is, so that configuration is solved once and
+    serves every node's sweep.
     """
-    n = g.n
-    signs_min = np.full((n, n), np.inf)
-    signs_max = np.full((n, n), -np.inf)
-    counts = np.zeros(n, dtype=int)
-    for i in range(n):
-        for scale in scales:
-            solved = _with_curing_rate(g, rates, i, rates.delta[i] * scale, solver_tol)
-            if solved is None:
-                continue
-            d2 = _Linearization.at(g, *solved).d2()[:, i]
-            signs_min[:, i] = np.minimum(signs_min[:, i], d2)
-            signs_max[:, i] = np.maximum(signs_max[:, i], d2)
-            counts[i] += 1
 
-    verdicts = []
-    for k in range(n):
-        row = []
-        for i in range(n):
-            if counts[i] < 2:
-                row.append("indefinite")
-            elif signs_min[k, i] >= -deadband:
-                row.append("convex")
-            elif signs_max[k, i] <= deadband:
-                row.append("concave")
-            else:
-                row.append("indefinite")
-        verdicts.append(row)
-    return verdicts
+    def d2_at(i: int, scale: float) -> np.ndarray | None:
+        solved = _with_curing_rate(g, rates, i, rates.delta[i] * scale)
+        return None if solved is None else _Linearization.at(g, *solved).d2()
+
+    unscaled = functools.cache(d2_at)
+    n = g.n
+    low = np.zeros((n, n))
+    high = np.zeros((n, n))
+    swept = np.zeros(n, dtype=bool)  # at least two endemic sweep points
+    for i in range(n):
+        columns = []
+        for scale in scales:
+            d2 = unscaled(0, 1.0) if scale == 1.0 else d2_at(i, scale)
+            if d2 is not None:
+                columns.append(d2[:, i])
+        if len(columns) >= 2:
+            swept[i] = True
+            low[:, i], high[:, i] = np.min(columns, axis=0), np.max(columns, axis=0)
+    verdicts = np.where(low >= -_DEADBAND, "convex", np.where(high <= _DEADBAND, "concave", "indefinite"))
+    verdicts[:, ~swept] = "indefinite"
+    return verdicts.tolist()
 
 
 def inverse_checks(g: Graph, rates: RateConfig, ss: SteadyState, tol: float = 1e-9) -> dict:
@@ -454,7 +439,7 @@ def full_report(
     scales=(0.6, 0.8, 1.0, 1.25, 1.5),
 ) -> SensitivityReport:
     if ss is None:
-        ss = solve(g, rates, tol=1e-12)
+        ss = solve(g, rates, tol=_SOLVE_TOL)
     lin = _Linearization.at(g, rates, ss)
     if float(lin.inv.min()) < -1e-10:
         raise NumericalError("negative entry in inverse sensitivity matrix", code="sign-violation")

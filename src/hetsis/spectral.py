@@ -48,12 +48,6 @@ class Spectrum:
     eigenvectors: np.ndarray | None = field(repr=False, default=None)
     residual: float = 0.0
 
-    def as_dict(self) -> dict:
-        doc = {"eigenvalues": self.eigenvalues.tolist(), "residual": self.residual}
-        if self.eigenvectors is not None:
-            doc["eigenvectors"] = self.eigenvectors.tolist()
-        return doc
-
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:

@@ -176,6 +176,21 @@ def test_dynamics_malformed_v0_list_exits_2(capsys, path3_file):
     assert json.loads(out)["error"] == "parse-error"
 
 
+def test_dynamics_max_points_below_two_exits_2(capsys, triangle_file):
+    argv = ["dynamics", "--graph", triangle_file, "--beta", "2.0", "--delta", "1.0", "--t-end", "1.0"]
+    for value in ("1", "0"):
+        code, out = run_cli(capsys, argv + ["--max-points", value])
+        assert code == 2
+        assert json.loads(out)["error"] == "invalid-argument"
+
+
+def test_dynamics_full_resolution_keeps_every_step(capsys, triangle_file):
+    argv = ["dynamics", "--graph", triangle_file, "--beta", "2.0", "--delta", "1.0", "--t-end", "5.0"]
+    code, out = run_cli(capsys, argv + ["--max-points", "40", "--full-resolution"])
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 251  # header, t = 0 and 250 steps of 0.1 / 5
+
+
 def test_kn_malformed_tau_list_exits_2(capsys):
     code, out = run_cli(capsys, ["kn", "--tau-list", "1,,2"])
     assert code == 2

@@ -1,5 +1,7 @@
 """Transient integration of the mean-field infection dynamics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,22 +115,54 @@ def test_integrate_downsamples_to_max_points():
     traj = integrate(g, r, np.full(3, 0.9), t_end=30.0, max_points=50)
     assert len(traj.times) <= 50
     assert traj.times[0] == 0.0 and abs(traj.times[-1] - 30.0) < 1e-12
-    full = integrate(g, r, np.full(3, 0.9), t_end=30.0, full_resolution=True)
+    full = integrate(g, r, np.full(3, 0.9), t_end=30.0, max_points=None)
     assert len(full.times) > 50
-    # strided samples are exact samples of the full run, not interpolants
-    k = np.searchsorted(full.times, traj.times[1])
-    assert np.array_equal(full.states[k], traj.states[1])
+    # every stride-th step plus the last, and exact samples of the full run, not interpolants
+    n_steps = len(full.times) - 1
+    stride = -(-n_steps // 49)
+    idx = list(range(0, n_steps, stride)) + [n_steps]
+    assert np.array_equal(full.times[idx], traj.times)
+    assert np.array_equal(full.states[idx], traj.states)
+    assert traj.terminal_residual == full.terminal_residual
+
+
+def test_integrate_keeps_every_step_up_to_max_points():
+    g = complete_graph(3)
+    r = RateConfig.for_graph(g, 1.0, 1.0)
+    full = integrate(g, r, np.full(3, 0.9), t_end=1.0, max_points=None)
+    assert len(full.times) == 31  # 30 steps of 1/30
+    for max_points in (31, 1000):
+        traj = integrate(g, r, np.full(3, 0.9), t_end=1.0, max_points=max_points)
+        assert np.array_equal(traj.times, full.times) and np.array_equal(traj.states, full.states)
+    ends = integrate(g, r, np.full(3, 0.9), t_end=1.0, max_points=2)
+    assert np.array_equal(ends.times, full.times[[0, 30]])
+    assert np.array_equal(ends.states, full.states[[0, 30]])
+
+
+def test_integrate_memory_independent_of_horizon():
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(30, rng)
+    r = random_rates_at(g, rng, 2.0)
+    v0 = np.full(30, 0.5)
+    tracemalloc.start()
+    try:
+        traj = integrate(g, r, v0, t_end=20.0, dt_hint=1e-3, max_points=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) <= 100
+    assert peak < 0.5e6  # all 20,000 steps of 30 states would take 4.8 MB
 
 
 def test_integrate_respects_dt_hint():
     g = complete_graph(3)
     r = RateConfig.for_graph(g, 1.0, 1.0)
     # a hint finer than the stability default is honored exactly
-    traj = integrate(g, r, np.full(3, 0.9), t_end=1.0, dt_hint=0.02, full_resolution=True)
+    traj = integrate(g, r, np.full(3, 0.9), t_end=1.0, dt_hint=0.02, max_points=None)
     assert abs(traj.times[1] - 0.02) < 1e-12
     assert len(traj.times) == 51
     # a coarser hint is capped at the stability default (0.1 / max rate)
-    capped = integrate(g, r, np.full(3, 0.9), t_end=1.0, dt_hint=0.25, full_resolution=True)
+    capped = integrate(g, r, np.full(3, 0.9), t_end=1.0, dt_hint=0.25, max_points=None)
     assert abs(capped.times[1] - 1.0 / 30.0) < 1e-12
 
 
@@ -153,3 +187,13 @@ def test_integrate_argument_validation():
         integrate(g, r, np.full(3, 0.5), t_end=1.0, dt_hint=0.0)
     with pytest.raises(InputError, match="length"):
         integrate(g, r, np.full(4, 0.5), t_end=1.0)
+
+
+@pytest.mark.parametrize("max_points", [1, 0, -5])
+def test_integrate_rejects_max_points_below_two(max_points):
+    g = complete_graph(3)
+    r = RateConfig.for_graph(g, 1.0, 1.0)
+    for t_end in (1.0, 0.0):
+        with pytest.raises(InputError, match="max_points") as info:
+            integrate(g, r, np.full(3, 0.5), t_end=t_end, max_points=max_points)
+        assert info.value.code == "invalid-argument"

@@ -459,6 +459,86 @@ def test_own_rate_residual_nondecreasing_over_the_grid(seed):
         assert np.all(np.diff(slopes) >= -1e-10 * np.abs(slopes[:-1]))
 
 
+def loop_convexity_verdicts(g, rates, scales=(0.6, 0.8, 1.0, 1.25, 1.5), deadband=1e-8):
+    """Reference: one solve and one d2 per (node, scale), verdicts cell by
+    cell.  Returns (verdicts, number of sweep points skipped)."""
+    n = g.n
+    signs_min = np.full((n, n), np.inf)
+    signs_max = np.full((n, n), -np.inf)
+    counts = np.zeros(n, dtype=int)
+    skipped = 0
+    for i in range(n):
+        for scale in scales:
+            delta = rates.delta.copy()
+            delta[i] = rates.delta[i] * scale
+            trial = RateConfig.for_graph(g, rates.beta, delta)
+            try:
+                ss = solve(g, trial, tol=1e-12)
+            except NumericalError:
+                ss = None
+            if ss is None or ss.regime != "endemic":
+                skipped += 1
+                continue
+            d2 = second_derivatives(g, trial, ss)[:, i]
+            signs_min[:, i] = np.minimum(signs_min[:, i], d2)
+            signs_max[:, i] = np.maximum(signs_max[:, i], d2)
+            counts[i] += 1
+    verdicts = []
+    for k in range(n):
+        row = []
+        for i in range(n):
+            if counts[i] < 2:
+                row.append("indefinite")
+            elif signs_min[k, i] >= -deadband:
+                row.append("convex")
+            elif signs_max[k, i] <= deadband:
+                row.append("concave")
+            else:
+                row.append("indefinite")
+        verdicts.append(row)
+    return verdicts, skipped
+
+
+def convexity_cases():
+    star = star_graph(4)
+    k5 = complete_graph(5)
+    rng = np.random.default_rng(1)
+    g8 = random_connected_graph(8, rng)
+    r8 = random_rates_at(g8, rng, 1.2)  # the hub leaves the endemic regime at 3 delta_hub
+    default = (0.6, 0.8, 1.0, 1.25, 1.5)
+    return {  # name: (graph, rates, scales, whether some sweep point leaves the endemic regime)
+        "a07-star": (star, RateConfig.for_graph(star, [0.5, 0.2, 1.0, 1.0], [1.0, 0.2, 1.0, 1.0]), default, True),
+        "k5": (k5, homogeneous_rates(k5, 1.0), default, False),
+        "random8-leaves-endemic": (g8, r8, (0.6, 1.0, 1.5, 3.0, 4.0), True),
+        "random8-one-point-left": (g8, r8, (1.0, 3.0, 4.0), True),  # the hub's sweep is indefinite
+        "random8-without-unscaled": (g8, r8, (0.7, 0.9, 1.1, 1.3), False),
+    }
+
+
+@pytest.mark.parametrize("name", list(convexity_cases()))
+def test_convexity_verdicts_match_per_node_loop(name):
+    g, r, scales, leaves = convexity_cases()[name]
+    expected, skipped = loop_convexity_verdicts(g, r, scales)
+    assert convexity_verdicts(g, r, scales) == expected
+    assert (skipped > 0) == leaves
+
+
+def test_full_report_solves_the_unscaled_rates_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    g = random_connected_graph(7, rng)
+    r = random_rates_at(g, rng, 2.0)
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "solve", counting_solve)
+    full_report(g, r)
+    # the base state, once for the sweeps' scale 1.0, and 4 scaled points per node
+    assert len(calls) <= 2 + 4 * g.n  # one per (node, scale) made 1 + 5 n
+
+
 def test_convexity_verdicts_frozen_cases():
     g, r, _ = concave_star_state()
     verdicts = convexity_verdicts(g, r)
