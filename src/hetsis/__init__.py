@@ -3,110 +3,24 @@
 Mean-field transient dynamics, metastable steady states, critical
 thresholds, curing-rate sensitivity analysis, and exact/stochastic
 Markov oracles for undirected contact graphs with per-node infection
-and curing rates.
+and curing rates.  Each module's ``__all__`` is its list of public
+names; the package exports all of them.
 """
 
-from .dynamics import Trajectory, default_step, integrate, mean_field_rhs
-from .errors import HetsisError, InputError, NumericalError
-from .graphs import Graph, RateConfig, format_edge_list, parse_edge_list, walk_counts
-from .markov import (
-    ExactChain,
-    SimEstimate,
-    build_exact_chain,
-    conditional_marginals,
-    marginals,
-    simulate,
-    transient_distribution,
-)
-from .sensitivity import (
-    SensitivityReport,
-    convexity_verdicts,
-    curvature_matrix,
-    first_derivatives,
-    full_report,
-    inverse_checks,
-    optimal_curing_rate,
-    schur_derivative,
-    second_derivatives,
-    sensitivity_matrix,
-)
-from .spectral import (
-    Spectrum,
-    dominant_eigenpair,
-    effective_adjacency,
-    full_spectrum,
-    generalized_laplacian,
-    gerschgorin_intervals,
-)
-from .steady_state import (
-    BoundsReport,
-    SteadyState,
-    bounds,
-    solve,
-    truncated_iterate,
-    uniqueness_probe,
-    verify_identities,
-)
-from .threshold import (
-    ThresholdReport,
-    classify,
-    complete_graph_critical_sum,
-    complete_graph_lambda_max,
-    critical_perturbation,
-    critical_scaling,
-    verify_bounds,
-)
+from . import dynamics, errors, graphs, markov, sensitivity, spectral, steady_state, threshold
+from .dynamics import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .markov import *  # noqa: F403
+from .sensitivity import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .steady_state import *  # noqa: F403
+from .threshold import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundsReport",
-    "ExactChain",
-    "Graph",
-    "HetsisError",
-    "InputError",
-    "NumericalError",
-    "RateConfig",
-    "SensitivityReport",
-    "SimEstimate",
-    "Spectrum",
-    "SteadyState",
-    "ThresholdReport",
-    "Trajectory",
-    "bounds",
-    "build_exact_chain",
-    "classify",
-    "complete_graph_critical_sum",
-    "complete_graph_lambda_max",
-    "conditional_marginals",
-    "convexity_verdicts",
-    "critical_perturbation",
-    "critical_scaling",
-    "curvature_matrix",
-    "default_step",
-    "dominant_eigenpair",
-    "effective_adjacency",
-    "first_derivatives",
-    "format_edge_list",
-    "full_report",
-    "full_spectrum",
-    "generalized_laplacian",
-    "gerschgorin_intervals",
-    "integrate",
-    "inverse_checks",
-    "marginals",
-    "mean_field_rhs",
-    "optimal_curing_rate",
-    "parse_edge_list",
-    "schur_derivative",
-    "second_derivatives",
-    "sensitivity_matrix",
-    "simulate",
-    "solve",
-    "transient_distribution",
-    "truncated_iterate",
-    "uniqueness_probe",
-    "verify_bounds",
-    "verify_identities",
-    "walk_counts",
-]
+__all__ = sorted(
+    name
+    for module in (dynamics, errors, graphs, markov, sensitivity, spectral, steady_state, threshold)
+    for name in module.__all__
+)

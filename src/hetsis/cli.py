@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import dynamics, markov, sensitivity, steady_state, threshold
-from .errors import HetsisError, InputError, NumericalError
+from .errors import HetsisError, InputError
 from .graphs import Graph, RateConfig, parse_edge_list
 
 __all__ = ["main"]
@@ -262,18 +262,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         sys.stdout.write(args.func(args) + "\n")
-    except InputError as exc:
-        sys.stdout.write(_fmt({"error": exc.code, "detail": str(exc)}) + "\n")
+    except (HetsisError, ValueError, ArithmeticError) as exc:
+        code = exc.code if isinstance(exc, HetsisError) else "unexpected-failure"
+        sys.stdout.write(_fmt({"error": code, "detail": str(exc)}) + "\n")
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        sys.stdout.write(_fmt({"error": exc.code, "detail": str(exc)}) + "\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, ArithmeticError) as exc:
-        sys.stdout.write(_fmt({"error": "unexpected-failure", "detail": str(exc)}) + "\n")
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
     return 0
 
 

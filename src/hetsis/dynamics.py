@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig
+from .graphs import Graph, RateConfig, _integer
 
-__all__ = ["Trajectory", "mean_field_rhs", "integrate"]
+__all__ = ["Trajectory", "mean_field_rhs", "default_step", "integrate"]
 
 _OVERSHOOT = 1e-9
 
@@ -59,6 +59,7 @@ def mean_field_rhs(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
 
 
 def default_step(rates: RateConfig) -> float:
+    """Largest RK4 step used: a tenth of the fastest nodal timescale."""
     return 0.1 / float(np.max(rates.gamma + rates.delta))
 
 
@@ -74,15 +75,15 @@ def integrate(
 
     The step is min(dt_hint, 0.1 / max_i(gamma_i + delta_i)).  States are
     clamped back into [0, 1] only when the overshoot is below 1e-9;
-    anything larger aborts as an instability.  At most ``max_points``
-    (at least 2) samples are kept, every stride-th step plus the last, so
-    both endpoints are always included; only those samples are stored.
-    ``max_points=None`` keeps every step.
+    anything larger aborts as an instability.  At most ``max_points`` (an
+    integer, at least 2) samples are kept, every stride-th step plus the
+    last, so both endpoints are always included; only those samples are
+    stored.  ``max_points=None`` keeps every step.
     """
     v = _check_state(v0, g.n).copy()
     if not np.isfinite(t_end) or t_end < 0:
         raise InputError("t_end must be non-negative and finite", code="invalid-argument")
-    if max_points is not None and max_points < 2:
+    if max_points is not None and _integer(max_points, "max_points") < 2:
         raise InputError("max_points must be at least 2", code="invalid-argument")
     dt = default_step(rates)
     if dt_hint is not None:

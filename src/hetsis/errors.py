@@ -8,6 +8,8 @@ failures (non-convergence, near-singular systems, undefined derivatives).
 
 from __future__ import annotations
 
+__all__ = ["HetsisError", "InputError", "NumericalError"]
+
 
 class HetsisError(Exception):
     """Base class; carries a short machine-readable code."""

@@ -9,6 +9,7 @@ downstream routine may assume irreducibility.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -142,17 +143,29 @@ def walk_counts(g: Graph) -> tuple[float, float]:
     return total, closed
 
 
-def _as_rate_vector(value, n: int, name: str) -> np.ndarray:
+def _positive_vector(value, n: int, name: str) -> np.ndarray:
+    """The rate-vector rule: length n, every entry finite and strictly positive."""
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
     if arr.shape != (n,):
-        raise InputError(f"{name} must be a scalar or length-{n} vector, got shape {arr.shape}", code="length-mismatch")
+        raise InputError(f"{name} must have length {n}, got shape {arr.shape}", code="length-mismatch")
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} contains non-finite entries", code="invalid-rates")
     if np.any(arr <= 0):
         raise InputError(f"{name} must be strictly positive", code="invalid-rates")
     return arr
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}", code="invalid-argument") from None
+
+
+def _as_rate_vector(value, n: int, name: str) -> np.ndarray:
+    """A rate vector, a scalar broadcasting to every node."""
+    arr = np.asarray(value, dtype=float)
+    return _positive_vector(np.full(n, float(arr)) if arr.ndim == 0 else arr, n, name)
 
 
 @dataclass(frozen=True, eq=False)

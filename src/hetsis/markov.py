@@ -14,7 +14,6 @@ running the replicas one after another.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig
+from .graphs import Graph, RateConfig, _integer
 
 __all__ = [
     "ExactChain",
@@ -244,13 +243,6 @@ def _run_block(
         events += live.size
         step += 1
     return occupancy_out, survived, events
-
-
-def _integer(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}", code="invalid-argument") from None
 
 
 def simulate(

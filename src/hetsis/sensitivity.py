@@ -45,6 +45,8 @@ _COND_LIMIT = 1e12
 _DEADBAND = 1e-8
 _PD_FLOOR = 1e-10  # smallest eigenvalue the symmetric form of S must exceed
 _SOLVE_TOL = 1e-12  # steady-state tolerance of every solve made here
+_OPTIMUM_TOL = 1e-8  # relative bracket width at which the optimal curing rate is returned
+_LEDGER_TOL = 1e-9  # relative slack of the inverse-matrix ledger
 
 
 def _require_endemic(ss: SteadyState) -> None:
@@ -62,24 +64,17 @@ def _require_tied(rates: RateConfig) -> None:
 
 
 def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarray:
-    """Build S and validate its structure at an endemic state.
+    """Build S at an endemic state and check that it is positive definite.
 
-    Checks the factorization S = (diag(q) - A) diag(beta) with
-    q_j = 1/(tau_j (1 - v_j)^2), and that the similar symmetric form
-    diag(sqrt beta) (diag(q) - A) diag(sqrt beta) is positive definite
-    with smallest eigenvalue above 1e-10: a Cholesky factorization of the
-    form shifted down by 1e-10 must exist.
+    S = (diag(q) - A) diag(beta) with q_j = 1/(tau_j (1 - v_j)^2) is
+    similar to the symmetric form diag(sqrt beta) (diag(q) - A)
+    diag(sqrt beta), whose smallest eigenvalue must exceed 1e-10: a
+    Cholesky factorization of the form shifted down by 1e-10 must exist.
     """
     _require_endemic(ss)
     v = ss.v_inf
     s = np.diag(rates.delta / (1.0 - v) ** 2) - g.adjacency * rates.beta[None, :]
-
-    q = 1.0 / (rates.tau * (1.0 - v) ** 2)
-    lap = generalized_laplacian(g, q).matrix
-    factored = lap * rates.beta[None, :]
-    if float(np.abs(s - factored).max()) > 1e-10 * max(1.0, float(np.abs(s).max())):
-        raise NumericalError("sensitivity matrix factorization mismatch", code="factorization-mismatch")
-
+    lap = generalized_laplacian(g, 1.0 / (rates.tau * (1.0 - v) ** 2)).matrix
     root = np.sqrt(rates.beta)
     sym = root[:, None] * lap * root[None, :]
     try:
@@ -94,18 +89,12 @@ def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarr
     return s
 
 
-def _inverse(s: np.ndarray) -> np.ndarray:
+def _near_critical(linalg_op, *args) -> np.ndarray:
+    """Run a numpy.linalg operation, a singular system raising ``near-critical``."""
     try:
-        inv = np.linalg.inv(s)
+        return linalg_op(*args)
     except np.linalg.LinAlgError:
         raise NumericalError("sensitivity system singular; near critical threshold", code="near-critical") from None
-    cond = float(np.linalg.norm(s, 1) * np.linalg.norm(inv, 1))
-    if cond > _COND_LIMIT:
-        raise NumericalError(
-            f"sensitivity system ill-conditioned (condition {cond:.3e}); near critical threshold",
-            code="near-critical",
-        )
-    return inv
 
 
 @dataclass(frozen=True)
@@ -123,7 +112,14 @@ class _Linearization:
     @classmethod
     def at(cls, g: Graph, rates: RateConfig, ss: SteadyState) -> "_Linearization":
         s = sensitivity_matrix(g, rates, ss)
-        return cls(v=ss.v_inf, delta=rates.delta, s=s, inv=_inverse(s))
+        inv = _near_critical(np.linalg.inv, s)
+        cond = float(np.linalg.norm(s, 1) * np.linalg.norm(inv, 1))
+        if cond > _COND_LIMIT:
+            raise NumericalError(
+                f"sensitivity system ill-conditioned (condition {cond:.3e}); near critical threshold",
+                code="near-critical",
+            )
+        return cls(v=ss.v_inf, delta=rates.delta, s=s, inv=inv)
 
     def d1(self) -> np.ndarray:
         v = self.v
@@ -156,6 +152,17 @@ class _Linearization:
         return m, float(dev.max())
 
 
+def _in_mode(g: Graph, rates: RateConfig, ss: SteadyState, mode: str, independent, tied):
+    """Apply the ``independent`` or ``tied`` method of the linearization at ss."""
+    lin = _Linearization.at(g, rates, ss)
+    if mode == "independent":
+        return independent(lin)
+    if mode == "tied":
+        _require_tied(rates)
+        return tied(lin)
+    raise InputError(f"unknown mode {mode!r}", code="invalid-argument")
+
+
 def first_derivatives(g: Graph, rates: RateConfig, ss: SteadyState, mode: str = "independent"):
     """Derivatives of the steady state in the curing rates.
 
@@ -164,13 +171,7 @@ def first_derivatives(g: Graph, rates: RateConfig, ss: SteadyState, mode: str = 
     rates move together (they must be equal), giving the vector
     dv_k / d delta from S^{-1} applied to -v/(1-v).
     """
-    lin = _Linearization.at(g, rates, ss)
-    if mode == "independent":
-        return lin.d1()
-    if mode == "tied":
-        _require_tied(rates)
-        return lin.d1_tied()
-    raise InputError(f"unknown mode {mode!r}", code="invalid-argument")
+    return _in_mode(g, rates, ss, mode, _Linearization.d1, _Linearization.d1_tied)
 
 
 def second_derivatives(g: Graph, rates: RateConfig, ss: SteadyState, mode: str = "independent"):
@@ -181,13 +182,7 @@ def second_derivatives(g: Graph, rates: RateConfig, ss: SteadyState, mode: str =
     terms 2 delta_j (dv_j)^2 / (1 - v_j)^3 plus the cross term
     2 (dv_i) / (1 - v_i)^2 on the differentiated coordinate(s).
     """
-    lin = _Linearization.at(g, rates, ss)
-    if mode == "independent":
-        return lin.d2()
-    if mode == "tied":
-        _require_tied(rates)
-        return lin.d2_tied()
-    raise InputError(f"unknown mode {mode!r}", code="invalid-argument")
+    return _in_mode(g, rates, ss, mode, _Linearization.d2, _Linearization.d2_tied)
 
 
 def curvature_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> tuple[np.ndarray, float]:
@@ -200,13 +195,6 @@ def curvature_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> tuple[np.n
     are data, not assertions: mixed signs flag non-convex response.
     """
     return _Linearization.at(g, rates, ss).curvature()
-
-
-def _solve_system(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(s, rhs)
-    except np.linalg.LinAlgError:
-        raise NumericalError("sensitivity system singular; near critical threshold", code="near-critical") from None
 
 
 def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tuple[float, float]:
@@ -228,7 +216,7 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     q = 1.0 / (tau * (1.0 - v) ** 2)
     lap_rest = np.diag(q[rest]) - g.adjacency[np.ix_(rest, rest)]
     a_col = g.adjacency[rest, i]
-    f = float(a_col @ _solve_system(lap_rest, a_col))
+    f = float(a_col @ _near_critical(np.linalg.solve, lap_rest, a_col))
     if f <= 0:
         raise NumericalError(f"deleted-graph quadratic form f = {f:.3e} not positive", code="sign-violation")
     damped = tau[i] * (1.0 - v[i]) ** 2 * f
@@ -253,15 +241,15 @@ def _with_curing_rate(g: Graph, rates: RateConfig, i: int, delta_i: float):
     return (trial, ss) if ss.regime == "endemic" else None
 
 
-def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float, tol: float = 1e-8) -> float:
+def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> float:
     """Curing rate minimizing price * delta_i + v_i at fixed other rates.
 
     Stationarity means price = -dv_i/d delta_i.  As v_i is convex in delta_i,
     the residual r = price + dv_i/d delta_i rises with delta_i: on the grid
     delta_i * geomspace(1e-3, 1e3, 49) the search walks from delta_i (up if
     r < 0 there, else down) to the adjacent endemic pair where r turns
-    non-negative and bisects it to ``tol``.  The optimum always exceeds
-    (1 - v_i) v_i / price, which is asserted on the result.
+    non-negative and bisects it to a relative width of 1e-8.  The optimum
+    always exceeds (1 - v_i) v_i / price, which is asserted on the result.
     """
     if not 0 <= i < g.n:
         raise InputError(f"node index {i} out of range", code="invalid-argument")
@@ -287,7 +275,7 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float, tol: 
         raise NumericalError("no interior optimum", code="no-interior-optimum")
 
     (lo, r_lo), hi = ((x, r), near[0]) if r < 0.0 else (near, x)
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > _OPTIMUM_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         r_mid = residual(mid)
         if r_mid is None:
@@ -341,11 +329,12 @@ def convexity_verdicts(g: Graph, rates: RateConfig, scales=(0.6, 0.8, 1.0, 1.25,
     return verdicts.tolist()
 
 
-def inverse_checks(g: Graph, rates: RateConfig, ss: SteadyState, tol: float = 1e-9) -> dict:
+def inverse_checks(g: Graph, rates: RateConfig, ss: SteadyState) -> dict:
     """Ledger of identities and inequalities on S^{-1} at an endemic state.
 
-    Every entry reports lhs <= rhs with the worst-case pair substituted;
-    identity entries additionally carry the largest absolute deviation.
+    Every entry reports lhs <= rhs with the worst-case pair substituted,
+    within a relative slack of 1e-9; identity entries additionally carry
+    the largest absolute deviation.
     The symmetric upper bound only applies when all infection rates are
     equal (S is then symmetric) and is marked inapplicable otherwise.
     """
@@ -360,7 +349,7 @@ def inverse_checks(g: Graph, rates: RateConfig, ss: SteadyState, tol: float = 1e
     ledger: dict[str, dict] = {}
 
     def slack(lhs: float, rhs: float) -> float:
-        return tol * max(1.0, abs(lhs), abs(rhs))
+        return _LEDGER_TOL * max(1.0, abs(lhs), abs(rhs))
 
     def identity(name: str, values: np.ndarray, targets: np.ndarray) -> None:
         devs = np.abs(values - targets)

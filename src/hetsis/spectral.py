@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph
+from .graphs import Graph, _positive_vector
 
 __all__ = [
     "Spectrum",
+    "GeneralizedLaplacian",
     "full_spectrum",
     "dominant_eigenpair",
     "effective_adjacency",
@@ -42,11 +43,11 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in ascending order, optional orthonormal eigenvectors."""
+    """Eigenvalues in ascending order, orthonormal eigenvectors as columns."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = field(repr=False, default=None)
-    residual: float = 0.0
+    eigenvectors: np.ndarray = field(repr=False)
+    residual: float
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,7 +57,7 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError("symmetric eigensolver did not converge", code="no-convergence") from None
 
 
-def full_spectrum(m: np.ndarray, vectors: bool = True) -> Spectrum:
+def full_spectrum(m: np.ndarray) -> Spectrum:
     """Diagonalize a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
     The returned residual is max_k ||m x_k - lambda_k x_k||_inf over all
@@ -68,11 +69,7 @@ def full_spectrum(m: np.ndarray, vectors: bool = True) -> Spectrum:
     residual = float(np.abs(m @ v - v * eigenvalues[None, :]).max())
     if residual > 1e-10 * scale:
         raise NumericalError(f"eigen-residual {residual:.3e} exceeds tolerance", code="no-convergence")
-    return Spectrum(
-        eigenvalues=eigenvalues,
-        eigenvectors=v if vectors else None,
-        residual=residual,
-    )
+    return Spectrum(eigenvalues=eigenvalues, eigenvectors=v, residual=residual)
 
 
 def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -109,12 +106,7 @@ def effective_adjacency(g: Graph, tau: np.ndarray) -> np.ndarray:
     Its spectral radius equals one exactly on the critical surface of the
     mean-field model, above one in the endemic regime.
     """
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (g.n,):
-        raise InputError(f"tau must have length {g.n}", code="length-mismatch")
-    if np.any(tau <= 0) or not np.all(np.isfinite(tau)):
-        raise InputError("tau must be strictly positive and finite", code="invalid-rates")
-    root = np.sqrt(tau)
+    root = np.sqrt(_positive_vector(tau, g.n, "tau"))
     return root[:, None] * g.adjacency * root[None, :]
 
 

@@ -26,13 +26,20 @@ __all__ = [
     "SteadyState",
     "BoundsReport",
     "solve",
+    "truncated_iterate",
     "verify_identities",
     "bounds",
     "uniqueness_probe",
+    "surface_side",
     "CRITICAL_BAND",
 ]
 
 CRITICAL_BAND = 1e-9
+_TOL = 1e-10  # solve's default tolerance and iteration cap, also the uniqueness probe's
+_MAX_ITER = 10**6
+_IDENTITY_TOL = 1e-7
+_PROBE_STARTS = 10
+_PROBE_SEED = 0
 
 
 def surface_side(lam: float) -> int:
@@ -93,7 +100,7 @@ def _iterate(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: i
         previous, last = v, residual
 
 
-def solve(g: Graph, rates: RateConfig, tol: float = 1e-10, max_iter: int = 10**6) -> SteadyState:
+def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_ITER) -> SteadyState:
     """Solve for the metastable steady state.
 
     Below the critical surface the all-zero state is returned with regime
@@ -139,7 +146,7 @@ def truncated_iterate(g: Graph, rates: RateConfig, depth: int) -> np.ndarray:
     return v
 
 
-def verify_identities(g: Graph, rates: RateConfig, ss: SteadyState, tol: float = 1e-7) -> dict:
+def verify_identities(g: Graph, rates: RateConfig, ss: SteadyState) -> dict:
     """Structural checks every endemic fixed point must satisfy.
 
     (a) sum_j (1/(tau_j (1 - v_j)) - d_j) beta_j v_j vanishes;
@@ -147,8 +154,10 @@ def verify_identities(g: Graph, rates: RateConfig, ss: SteadyState, tol: float =
     (c) each such node obeys v_j <= 1 - 1/(tau_j d_j);
     (d) (I - diag(v)) w = delta componentwise.
 
-    Returns a report keyed by check name; raises if any check fails.
+    Returns a report keyed by check name, each with its tolerance (1e-7,
+    1e-9 for (d)); raises if any check fails.
     """
+    tol = _IDENTITY_TOL
     if ss.regime != "endemic":
         raise InputError("identities require endemic regime", code="identities-require-endemic")
     v, beta, delta, tau = ss.v_inf, rates.beta, rates.delta, rates.tau
@@ -220,28 +229,21 @@ def bounds(g: Graph, rates: RateConfig, ss: SteadyState) -> BoundsReport:
     )
 
 
-def uniqueness_probe(
-    g: Graph,
-    rates: RateConfig,
-    n_starts: int = 10,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 10**6,
-) -> tuple[bool, float]:
-    """Diagnostic: iterate from random interior starts, report the spread.
+def uniqueness_probe(g: Graph, rates: RateConfig) -> tuple[bool, float]:
+    """Diagnostic: iterate from 10 seeded random interior starts, report the spread.
 
     Returns (consistent, max_spread) where consistent means every start
-    landed within 1e-6 of the reference fixed point.  The model is
-    conjectured to have a single non-trivial fixed point; this probes it
-    without asserting.
+    landed within 1e-6 of the reference fixed point ``solve`` returns.
+    The model is conjectured to have a single non-trivial fixed point;
+    this probes it without asserting.
     """
-    reference = solve(g, rates, tol=tol, max_iter=max_iter)
+    reference = solve(g, rates)
     if reference.regime != "endemic":
         return True, 0.0
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=_PROBE_SEED))
     spread = 0.0
-    for _ in range(n_starts):
+    for _ in range(_PROBE_STARTS):
         v0 = rng.uniform(0.05, 0.95, size=g.n)
-        v, _, _ = _iterate(g, rates, v0, tol, max_iter)
+        v, _, _ = _iterate(g, rates, v0, _TOL, _MAX_ITER)
         spread = max(spread, float(np.abs(v - reference.v_inf).max()))
     return spread <= 1e-6, spread

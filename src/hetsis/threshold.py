@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig, walk_counts
+from .graphs import Graph, RateConfig, _positive_vector, walk_counts
 from .spectral import dominant_eigenpair, effective_adjacency
 from .steady_state import surface_side
 
@@ -27,6 +27,8 @@ __all__ = [
     "complete_graph_critical_sum",
     "critical_perturbation",
 ]
+
+_SECULAR_TOL = 1e-12  # relative bracket width at which the secular root is returned
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,6 @@ def critical_scaling(g: Graph, tau_direction: np.ndarray) -> float:
     of one before the factor is returned.
     """
     tau0 = np.asarray(tau_direction, dtype=float)
-    if tau0.shape != (g.n,):
-        raise InputError(f"direction must have length {g.n}", code="length-mismatch")
-    if np.any(tau0 <= 0) or not np.all(np.isfinite(tau0)):
-        raise InputError("direction must be strictly positive and finite", code="invalid-rates")
-
     lam0, _ = dominant_eigenpair(effective_adjacency(g, tau0))
     s_star = 1.0 / lam0
     lam, _ = dominant_eigenpair(effective_adjacency(g, s_star * tau0))
@@ -119,17 +116,16 @@ def _check_tau_vector(tau) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size < 2:
         raise InputError("tau must be a vector with at least two entries", code="length-mismatch")
-    if np.any(tau <= 0) or not np.all(np.isfinite(tau)):
-        raise InputError("tau must be strictly positive and finite", code="invalid-rates")
-    return tau
+    return _positive_vector(tau, tau.size, "tau")
 
 
-def complete_graph_lambda_max(tau, tol: float = 1e-12) -> float:
+def complete_graph_lambda_max(tau) -> float:
     """Spectral radius of the complete-graph coupling matrix from its
     secular equation sum_j 1/(tau_j + x) = (n-1)/x.
 
-    The root is bracketed in (0, sum tau - tau_min]; the upper end is
-    attained exactly in the homogeneous case.
+    The root is bracketed in (0, sum tau - tau_min] and bisected to a
+    relative width of 1e-12; the upper end is attained exactly in the
+    homogeneous case.
     """
     tau = _check_tau_vector(tau)
     n = tau.size
@@ -141,7 +137,7 @@ def complete_graph_lambda_max(tau, tol: float = 1e-12) -> float:
     if g_fn(hi) <= 0.0:
         return hi
     lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > _SECULAR_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if g_fn(mid) < 0.0:
             lo = mid

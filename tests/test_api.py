@@ -1,0 +1,64 @@
+"""Each module's ``__all__`` is the one list of its public names.
+
+Every function or class a hetsis module defines without a leading
+underscore must be in that module's ``__all__``, and the package exports
+exactly the union of those lists (the ``cli`` front end stays outside the
+package namespace).
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import hetsis
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(hetsis.__path__))
+LIBRARY = [name for name in MODULES if name != "cli"]
+
+# every name the package has exported; removing one would break callers
+EARLIER_EXPORTS = {
+    "BoundsReport", "ExactChain", "Graph", "HetsisError", "InputError", "NumericalError", "RateConfig",
+    "SensitivityReport", "SimEstimate", "Spectrum", "SteadyState", "ThresholdReport", "Trajectory", "bounds",
+    "build_exact_chain", "classify", "complete_graph_critical_sum", "complete_graph_lambda_max",
+    "conditional_marginals", "convexity_verdicts", "critical_perturbation", "critical_scaling", "curvature_matrix",
+    "default_step", "dominant_eigenpair", "effective_adjacency", "first_derivatives", "format_edge_list",
+    "full_report", "full_spectrum", "generalized_laplacian", "gerschgorin_intervals", "integrate", "inverse_checks",
+    "marginals", "mean_field_rhs", "optimal_curing_rate", "parse_edge_list", "schur_derivative",
+    "second_derivatives", "sensitivity_matrix", "simulate", "solve", "transient_distribution", "truncated_iterate",
+    "uniqueness_probe", "verify_bounds", "verify_identities", "walk_counts",
+}
+
+
+def _module(name: str):
+    return importlib.import_module(f"hetsis.{name}")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_definitions_are_listed(name):
+    module = _module(name)
+    defined = {
+        attr
+        for attr, value in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    }
+    assert defined <= set(module.__all__), f"public but unlisted: {sorted(defined - set(module.__all__))}"
+    assert len(set(module.__all__)) == len(module.__all__)
+    for listed in module.__all__:
+        assert hasattr(module, listed), f"{name}.__all__ lists missing {listed}"
+
+
+def test_package_exports_the_union_of_module_lists():
+    union = {listed: _module(name) for name in LIBRARY for listed in _module(name).__all__}
+    assert len(union) == sum(len(_module(name).__all__) for name in LIBRARY), "a name is listed by two modules"
+    assert sorted(hetsis.__all__) == sorted(union)
+    for listed, module in union.items():
+        assert getattr(hetsis, listed) is getattr(module, listed)
+
+
+def test_package_keeps_earlier_exports():
+    assert len(EARLIER_EXPORTS) == 49
+    assert EARLIER_EXPORTS <= set(hetsis.__all__)

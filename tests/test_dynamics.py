@@ -131,7 +131,7 @@ def test_integrate_keeps_every_step_up_to_max_points():
     r = RateConfig.for_graph(g, 1.0, 1.0)
     full = integrate(g, r, np.full(3, 0.9), t_end=1.0, max_points=None)
     assert len(full.times) == 31  # 30 steps of 1/30
-    for max_points in (31, 1000):
+    for max_points in (31, 1000, np.int64(31)):
         traj = integrate(g, r, np.full(3, 0.9), t_end=1.0, max_points=max_points)
         assert np.array_equal(traj.times, full.times) and np.array_equal(traj.states, full.states)
     ends = integrate(g, r, np.full(3, 0.9), t_end=1.0, max_points=2)
@@ -189,7 +189,7 @@ def test_integrate_argument_validation():
         integrate(g, r, np.full(4, 0.5), t_end=1.0)
 
 
-@pytest.mark.parametrize("max_points", [1, 0, -5])
+@pytest.mark.parametrize("max_points", [1, 0, -5, 2.5])
 def test_integrate_rejects_max_points_below_two(max_points):
     g = complete_graph(3)
     r = RateConfig.for_graph(g, 1.0, 1.0)

@@ -73,13 +73,13 @@ def test_full_spectrum_sorted_ascending():
 def test_full_spectrum_matches_lapack(n, seed):
     m = random_symmetric(n, seed)
     scale = max(1.0, np.abs(m).max())
-    mine = full_spectrum(m, vectors=False).eigenvalues
+    mine = full_spectrum(m).eigenvalues
     assert np.abs(mine - np.linalg.eigvalsh(m)).max() < 1e-8 * scale
 
 
 def test_full_spectrum_trace_identities():
     m = random_symmetric(9, seed=3)
-    lam = full_spectrum(m, vectors=False).eigenvalues
+    lam = full_spectrum(m).eigenvalues
     assert abs(lam.sum() - np.trace(m)) < 1e-10 * max(1.0, abs(np.trace(m)))
     assert abs((lam**2).sum() - np.sum(m * m)) < 1e-9 * np.sum(m * m)
 
@@ -170,7 +170,7 @@ def test_gerschgorin_intervals_cover_spectrum():
     intervals = gerschgorin_intervals(g, q)
     assert np.allclose(intervals[:, 0], q - g.degrees)
     assert np.allclose(intervals[:, 1], q + g.degrees)
-    lam = full_spectrum(generalized_laplacian(g, q).matrix, vectors=False).eigenvalues
+    lam = full_spectrum(generalized_laplacian(g, q).matrix).eigenvalues
     assert lam.min() >= intervals[:, 0].min() - 1e-12
     assert lam.max() <= intervals[:, 1].max() + 1e-12
 
