@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics, markov, sensitivity, steady_state, threshold
 from .errors import HetsisError, InputError
-from .graphs import Graph, RateConfig, parse_edge_list
+from .graphs import Graph, RateConfig, _integer, parse_edge_list
 
 __all__ = ["main"]
 
@@ -169,6 +169,7 @@ def _cmd_sensitivity(args) -> str:
 def _cmd_kn(args) -> str:
     tau = _float_list(args.tau_list, "--tau-list")
     if args.n is not None:
+        _integer(args.n, "--n", 2)
         if tau.size == 1:
             tau = np.full(args.n, tau[0])
         elif tau.size != args.n:

@@ -47,7 +47,7 @@ class Graph:
             raise InputError("empty edge list", code="parse-error")
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = _integer(u, "node id"), _integer(v, "node id")
             if u < 0 or v < 0:
                 raise InputError(f"negative node id in edge ({u}, {v})", code="parse-error")
             if u == v:
@@ -57,9 +57,8 @@ class Graph:
                 raise InputError(f"duplicate edge ({u}, {v})", code="duplicate-edge")
             seen.add(key)
         max_id = max(max(e) for e in seen)
-        if n is None:
-            n = max_id + 1
-        elif max_id >= n:
+        n = max_id + 1 if n is None else _integer(n, "n")
+        if max_id >= n:
             raise InputError(f"node id {max_id} exceeds declared size {n}", code="parse-error")
         used = {u for e in seen for u in e}
         missing = sorted(set(range(n)) - used)
@@ -155,11 +154,24 @@ def _positive_vector(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """The integer-argument rule: an integer type (a float is refused even
+    when whole), at least ``minimum`` when one is given."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise InputError(f"{name} must be an integer, got {value!r}", code="invalid-argument") from None
+    if minimum is not None and value < minimum:
+        raise InputError(f"{name} must be at least {minimum}, got {value}", code="invalid-argument")
+    return value
+
+
+def _node(g: Graph, i) -> int:
+    """Node index i, which must be an integer in 0..n-1."""
+    i = _integer(i, "node index")
+    if not 0 <= i < g.n:
+        raise InputError(f"node index {i} out of range", code="invalid-argument")
+    return i
 
 
 def _as_rate_vector(value, n: int, name: str) -> np.ndarray:

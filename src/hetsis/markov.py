@@ -265,11 +265,7 @@ def simulate(
     """
     if not np.isfinite(horizon) or not np.isfinite(burn_in) or burn_in < 0 or horizon <= burn_in:
         raise InputError("need 0 <= burn_in < horizon", code="invalid-argument")
-    replicas, seed = _integer(replicas, "replicas"), _integer(seed, "seed")
-    if replicas < 1:
-        raise InputError("replicas must be at least 1", code="invalid-argument")
-    if seed < 0:
-        raise InputError("seed must be non-negative", code="invalid-argument")
+    replicas, seed = _integer(replicas, "replicas", 1), _integer(seed, "seed", 0)
 
     occupancy = np.empty((replicas, g.n))
     survived = np.empty(replicas, dtype=bool)

@@ -8,9 +8,13 @@ yields linear systems in the matrix
 which is similar to a symmetric positive definite matrix at every
 endemic state.  ``sensitivity_matrix`` builds S and checks that through
 a Cholesky factorization of the symmetric form; each endemic state is
-linearized once, and every derivative below is a product with that one
-S^{-1}.  First and second derivatives, a Schur-complement route to the
-own-rate derivative through the node-deleted graph, a curvature
+linearized once.  As the curing rates move along a direction u (e_i for
+delta_i alone, the all-ones vector for a common rate), v moves with
+
+    x = -S^{-1}(u v/(1-v)),  x' = -S^{-1}(2 delta x^2/(1-v)^3 + 2 u x/(1-v)^2)
+
+(componentwise products).  These derivatives, a Schur-complement route
+to the own-rate derivative through the node-deleted graph, a curvature
 diagnostic matrix, convexity verdicts over curing-rate sweeps, an
 optimal curing rate (a grid walk, as v_i is convex in delta_i) and a
 ledger of identities and inequalities on S^{-1} all live here.
@@ -24,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig
-from .spectral import generalized_laplacian
+from .graphs import Graph, RateConfig, _node
 from .steady_state import SteadyState, solve
 
 __all__ = [
@@ -66,17 +69,16 @@ def _require_tied(rates: RateConfig) -> None:
 def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarray:
     """Build S at an endemic state and check that it is positive definite.
 
-    S = (diag(q) - A) diag(beta) with q_j = 1/(tau_j (1 - v_j)^2) is
-    similar to the symmetric form diag(sqrt beta) (diag(q) - A)
-    diag(sqrt beta), whose smallest eigenvalue must exceed 1e-10: a
-    Cholesky factorization of the form shifted down by 1e-10 must exist.
+    S = diag(delta/(1 - v)^2) - A diag(beta) is similar to the symmetric
+    form diag(delta/(1 - v)^2) - diag(sqrt beta) A diag(sqrt beta), whose
+    smallest eigenvalue must exceed 1e-10: a Cholesky factorization of the
+    form shifted down by 1e-10 must exist.
     """
     _require_endemic(ss)
-    v = ss.v_inf
-    s = np.diag(rates.delta / (1.0 - v) ** 2) - g.adjacency * rates.beta[None, :]
-    lap = generalized_laplacian(g, 1.0 / (rates.tau * (1.0 - v) ** 2)).matrix
+    cure = np.diag(rates.delta / (1.0 - ss.v_inf) ** 2)
+    s = cure - g.adjacency * rates.beta[None, :]
     root = np.sqrt(rates.beta)
-    sym = root[:, None] * lap * root[None, :]
+    sym = cure - root[:, None] * g.adjacency * root[None, :]
     try:
         np.linalg.cholesky(sym - _PD_FLOOR * np.eye(g.n))
     except np.linalg.LinAlgError:
@@ -97,7 +99,7 @@ def _near_critical(linalg_op, *args) -> np.ndarray:
         raise NumericalError("sensitivity system singular; near critical threshold", code="near-critical") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Linearization:
     """S and S^{-1} at one endemic state, built and validated once.
 
@@ -121,68 +123,56 @@ class _Linearization:
             )
         return cls(v=ss.v_inf, delta=rates.delta, s=s, inv=inv)
 
-    def d1(self) -> np.ndarray:
-        v = self.v
-        d1 = -self.inv * (v / (1.0 - v))[None, :]
-        if float(d1.max()) > 1e-10:
+    def along(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x, x') of the module docstring along u; a matrix u holds one direction per column."""
+        v, delta = (self.v, self.delta) if u.ndim == 1 else (self.v[:, None], self.delta[:, None])
+        x = -(self.inv @ (u * v / (1.0 - v)))
+        if float(x.max()) > 1e-10:
             raise NumericalError("positive curing-rate derivative detected", code="sign-violation")
-        return d1
+        w = 2.0 * delta * x**2 / (1.0 - v) ** 3 + 2.0 * u * x / (1.0 - v) ** 2
+        return x, -(self.inv @ w)
 
-    def d1_tied(self) -> np.ndarray:
-        v = self.v
-        return -(self.inv @ (v / (1.0 - v)))
-
-    def d2(self) -> np.ndarray:
-        v, d1 = self.v, self.d1()
-        w = 2.0 * (self.delta / (1.0 - v) ** 3)[:, None] * d1**2
-        w[np.diag_indices_from(w)] += 2.0 * np.diag(d1) / (1.0 - v) ** 2
-        return -(self.inv @ w)
-
-    def d2_tied(self) -> np.ndarray:
-        v, d1 = self.v, self.d1_tied()
-        w = 2.0 * self.delta * d1**2 / (1.0 - v) ** 3 + 2.0 * d1 / (1.0 - v) ** 2
-        return -(self.inv @ w)
-
-    def curvature(self) -> tuple[np.ndarray, float]:
+    def curvature(self, d2: np.ndarray) -> tuple[np.ndarray, float]:
         inv, v = self.inv, self.v
         weights = self.delta / (1.0 - v) ** 3
         m = inv * (np.diag(inv) / (1.0 - v))[None, :] - (inv * weights[None, :]) @ (inv**2) * v[None, :]
-        scaled = ((1.0 - v) ** 2 / (2.0 * v))[None, :] * self.d2()
+        scaled = ((1.0 - v) ** 2 / (2.0 * v))[None, :] * d2
         dev = np.abs(scaled - m) / np.maximum(1.0, np.maximum(np.abs(scaled), np.abs(m)))
         return m, float(dev.max())
 
 
-def _in_mode(g: Graph, rates: RateConfig, ss: SteadyState, mode: str, independent, tied):
-    """Apply the ``independent`` or ``tied`` method of the linearization at ss."""
+def _in_mode(g: Graph, rates: RateConfig, ss: SteadyState, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(x, x') at ss along the identity (independent mode) or the all-ones vector (tied)."""
     lin = _Linearization.at(g, rates, ss)
     if mode == "independent":
-        return independent(lin)
+        return lin.along(np.eye(g.n))
     if mode == "tied":
         _require_tied(rates)
-        return tied(lin)
+        return lin.along(np.ones(g.n))
     raise InputError(f"unknown mode {mode!r}", code="invalid-argument")
 
 
 def first_derivatives(g: Graph, rates: RateConfig, ss: SteadyState, mode: str = "independent"):
     """Derivatives of the steady state in the curing rates.
 
-    mode "independent": matrix D with D[k, i] = dv_k / d delta_i, column i
-    being S^{-1} applied to -v_i/(1-v_i) e_i.  mode "tied": all curing
-    rates move together (they must be equal), giving the vector
-    dv_k / d delta from S^{-1} applied to -v/(1-v).
+    Along a direction u of the curing rates the derivative is
+    x = -S^{-1}(u v/(1-v)).  mode "independent": u = e_i for each node,
+    giving the matrix D[k, i] = dv_k / d delta_i.  mode "tied": all curing
+    rates move together (they must be equal), u = 1, giving the vector
+    dv_k / d delta.
     """
-    return _in_mode(g, rates, ss, mode, _Linearization.d1, _Linearization.d1_tied)
+    return _in_mode(g, rates, ss, mode)[0]
 
 
 def second_derivatives(g: Graph, rates: RateConfig, ss: SteadyState, mode: str = "independent"):
     """Second derivatives d^2 v_k / d delta_i^2 (matrix) or the tied-mode
     vector d^2 v_k / d delta^2.
 
-    Each column solves S x = -w where w collects the quadratic first-order
-    terms 2 delta_j (dv_j)^2 / (1 - v_j)^3 plus the cross term
-    2 (dv_i) / (1 - v_i)^2 on the differentiated coordinate(s).
+    Along a direction u, with x the first derivative, the second
+    derivative is -S^{-1}(2 delta x^2/(1-v)^3 + 2 u x/(1-v)^2); u is e_i
+    for column i of the matrix and the all-ones vector in tied mode.
     """
-    return _in_mode(g, rates, ss, mode, _Linearization.d2, _Linearization.d2_tied)
+    return _in_mode(g, rates, ss, mode)[1]
 
 
 def curvature_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> tuple[np.ndarray, float]:
@@ -194,7 +184,8 @@ def curvature_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> tuple[np.n
     Returns (M, worst relative deviation from that identity).  Signs of M
     are data, not assertions: mixed signs flag non-convex response.
     """
-    return _Linearization.at(g, rates, ss).curvature()
+    lin = _Linearization.at(g, rates, ss)
+    return lin.curvature(lin.along(np.eye(g.n))[1])
 
 
 def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tuple[float, float]:
@@ -209,8 +200,7 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     both are checked before returning (f, derivative).
     """
     _require_endemic(ss)
-    if not 0 <= i < g.n:
-        raise InputError(f"node index {i} out of range", code="invalid-argument")
+    i = _node(g, i)
     v, tau = ss.v_inf, rates.tau
     rest = np.arange(g.n) != i
     q = 1.0 / (tau * (1.0 - v) ** 2)
@@ -230,13 +220,15 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
 
 
 def _with_curing_rate(g: Graph, rates: RateConfig, i: int, delta_i: float):
-    """(rates, steady state) with delta_i at node i; None unless solved and endemic."""
+    """(rates, steady state) with delta_i at node i; None if extinct or on the surface."""
     delta = rates.delta.copy()
     delta[i] = delta_i
     trial = RateConfig.for_graph(g, rates.beta, delta)
     try:
         ss = solve(g, trial, tol=_SOLVE_TOL)
-    except NumericalError:
+    except NumericalError as exc:
+        if exc.code != "critical-threshold":
+            raise
         return None
     return (trial, ss) if ss.regime == "endemic" else None
 
@@ -251,8 +243,7 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
     non-negative and bisects it to a relative width of 1e-8.  The optimum
     always exceeds (1 - v_i) v_i / price, which is asserted on the result.
     """
-    if not 0 <= i < g.n:
-        raise InputError(f"node index {i} out of range", code="invalid-argument")
+    i = _node(g, i)
     if not np.isfinite(price) or price <= 0:
         raise InputError("price must be strictly positive and finite", code="invalid-argument")
 
@@ -300,27 +291,30 @@ def convexity_verdicts(g: Graph, rates: RateConfig, scales=(0.6, 0.8, 1.0, 1.25,
     """Per-(k, i) verdicts in {convex, concave, indefinite} from the sign
     of d^2 v_k / d delta_i^2 as delta_i sweeps over scaled values.
 
-    Sweep points that leave the endemic regime are skipped; if fewer than
-    two points of a sweep remain, the verdict is "indefinite".  Scale 1.0
-    leaves every rate as it is, so that configuration is solved once and
-    serves every node's sweep.
+    Sweep points that are extinct or on the critical surface are skipped;
+    if fewer than two points of a sweep remain, the verdict is
+    "indefinite".  Each point contributes the second derivative along
+    node i's own rate only.  Scale 1.0 leaves every rate as it is, so that
+    configuration is solved and linearized once and serves every node's
+    sweep.
     """
 
-    def d2_at(i: int, scale: float) -> np.ndarray | None:
+    def linearized(i: int, scale: float) -> _Linearization | None:
         solved = _with_curing_rate(g, rates, i, rates.delta[i] * scale)
-        return None if solved is None else _Linearization.at(g, *solved).d2()
+        return None if solved is None else _Linearization.at(g, *solved)
 
-    unscaled = functools.cache(d2_at)
+    unscaled = functools.cache(linearized)
     n = g.n
+    units = np.eye(n)
     low = np.zeros((n, n))
     high = np.zeros((n, n))
     swept = np.zeros(n, dtype=bool)  # at least two endemic sweep points
     for i in range(n):
         columns = []
         for scale in scales:
-            d2 = unscaled(0, 1.0) if scale == 1.0 else d2_at(i, scale)
-            if d2 is not None:
-                columns.append(d2[:, i])
+            lin = unscaled(0, 1.0) if scale == 1.0 else linearized(i, scale)
+            if lin is not None:
+                columns.append(lin.along(units[i])[1])
         if len(columns) >= 2:
             swept[i] = True
             low[:, i], high[:, i] = np.min(columns, axis=0), np.max(columns, axis=0)
@@ -407,7 +401,7 @@ def inverse_checks(g: Graph, rates: RateConfig, ss: SteadyState) -> dict:
     return ledger
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityReport:
     """Complete sensitivity picture at one endemic configuration."""
 
@@ -432,14 +426,15 @@ def full_report(
     lin = _Linearization.at(g, rates, ss)
     if float(lin.inv.min()) < -1e-10:
         raise NumericalError("negative entry in inverse sensitivity matrix", code="sign-violation")
-    tied = _uniform(rates.delta)
+    d1, d2 = lin.along(np.eye(g.n))
+    d1_tied, d2_tied = lin.along(np.ones(g.n)) if _uniform(rates.delta) else (None, None)
     return SensitivityReport(
         s_matrix=lin.s,
         s_inverse=lin.inv,
-        d1=lin.d1(),
-        d2=lin.d2(),
-        d1_tied=lin.d1_tied() if tied else None,
-        d2_tied=lin.d2_tied() if tied else None,
-        m_matrix=lin.curvature()[0],
+        d1=d1,
+        d2=d2,
+        d1_tied=d1_tied,
+        d2_tied=d2_tied,
+        m_matrix=lin.curvature(d2)[0],
         convexity=convexity_verdicts(g, rates, scales=scales),
     )

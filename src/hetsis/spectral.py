@@ -41,7 +41,7 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues in ascending order, orthonormal eigenvectors as columns."""
 
@@ -110,7 +110,7 @@ def effective_adjacency(g: Graph, tau: np.ndarray) -> np.ndarray:
     return root[:, None] * g.adjacency * root[None, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedLaplacian:
     """diag(q) - A for a node weight vector q."""
 

@@ -19,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig
+from .graphs import Graph, RateConfig, _integer
 from .spectral import dominant_eigenpair, effective_adjacency
 
 __all__ = [
@@ -50,7 +50,7 @@ def surface_side(lam: float) -> int:
     return 1 if lam > 1.0 else -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteadyState:
     """Converged fixed point, scaled variants, and solver diagnostics.
 
@@ -106,8 +106,12 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
     Below the critical surface the all-zero state is returned with regime
     "extinct"; on the surface (spectral radius within 1e-9 of one) the
     problem is degenerate and an error is raised; above it the endemic
-    fixed point is found by monotone iteration from the upper bound.
+    fixed point is found by monotone iteration from the upper bound.  tol
+    must be positive and finite, max_iter a non-negative integer.
     """
+    if not 0.0 < tol < np.inf:
+        raise InputError(f"tol must be positive and finite, got {tol!r}", code="invalid-argument")
+    max_iter = _integer(max_iter, "max_iter", 0)
     lam, _ = dominant_eigenpair(effective_adjacency(g, rates.tau))
     side = surface_side(lam)
     if side == 0:
@@ -142,6 +146,7 @@ def truncated_iterate(g: Graph, rates: RateConfig, depth: int) -> np.ndarray:
     Applies the fixed-point map exactly ``depth`` times from the upper
     bound start, replaying what ``solve`` computes before it stops.
     """
+    depth = _integer(depth, "depth", 0)
     v, _ = next(islice(_orbit(g, rates, _upper_start(rates)), depth, None))
     return v
 
@@ -191,7 +196,7 @@ def verify_identities(g: Graph, rates: RateConfig, ss: SteadyState) -> dict:
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundsReport:
     """Componentwise bracket on the endemic steady state.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig, _positive_vector, walk_counts
+from .graphs import Graph, RateConfig, _integer, _positive_vector, walk_counts
 from .spectral import dominant_eigenpair, effective_adjacency
 from .steady_state import surface_side
 
@@ -31,7 +31,7 @@ __all__ = [
 _SECULAR_TOL = 1e-12  # relative bracket width at which the secular root is returned
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdReport:
     lambda_max_R: float
     regime: str
@@ -158,8 +158,7 @@ def critical_perturbation(h2: float, n: int) -> float:
     """Companion perturbation h1 keeping an (h1, h2, 0, ...) disturbed
     homogeneous complete-graph configuration on the critical surface:
     h1 = -h2 / (1 + 2 ((n-1)/n) h2)."""
-    if n < 2:
-        raise InputError("n must be at least 2", code="invalid-argument")
+    n = _integer(n, "n", 2)
     if not np.isfinite(h2):
         raise InputError("h2 must be finite", code="invalid-argument")
     denom = 1.0 + 2.0 * ((n - 1.0) / n) * h2

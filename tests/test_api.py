@@ -3,13 +3,15 @@
 Every function or class a hetsis module defines without a leading
 underscore must be in that module's ``__all__``, and the package exports
 exactly the union of those lists (the ``cli`` front end stays outside the
-package namespace).
+package namespace).  Every result type compares and hashes by identity.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import hetsis
@@ -62,3 +64,20 @@ def test_package_exports_the_union_of_module_lists():
 def test_package_keeps_earlier_exports():
     assert len(EARLIER_EXPORTS) == 49
     assert EARLIER_EXPORTS <= set(hetsis.__all__)
+
+
+DATACLASSES = sorted(name for name in hetsis.__all__ if dataclasses.is_dataclass(getattr(hetsis, name)))
+
+
+@pytest.mark.parametrize("name", DATACLASSES)
+def test_dataclasses_compare_and_hash_by_identity(name):
+    # the generated __eq__/__hash__ would run over array fields: == raises
+    # ValueError (truth value of an array) and hash raises TypeError
+    cls = getattr(hetsis, name)
+
+    def instance():
+        return cls(**{f.name: np.zeros(2) for f in dataclasses.fields(cls) if f.init})
+
+    a, b = instance(), instance()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2

@@ -256,6 +256,16 @@ def test_kn_broadcast_and_mismatch(capsys):
     assert json.loads(out)["error"] == "length-mismatch"
 
 
+def test_invalid_numeric_options_exit_2(capsys, triangle_file):
+    for argv in (
+        ["kn", "--n", "-1", "--tau-list", "0.5"],
+        ["steady", "--graph", triangle_file, "--tau", "1.5", "--tol", "0"],
+        ["steady", "--graph", triangle_file, "--tau", "1.5", "--max-iter", "-1"],
+    ):
+        code, out = run_cli(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "invalid-argument"
+
 def test_oracle_document(capsys, path3_file):
     argv = [
         "oracle", "--graph", path3_file, "--beta", "3.0", "--delta", "1.0",

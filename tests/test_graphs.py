@@ -50,6 +50,14 @@ def test_from_edges_rejects_malformed(edges, fragment):
         Graph.from_edges(edges)
 
 
+@pytest.mark.parametrize("edges, n", [([(0, 1.7), (1, 2.2), (2, 0)], None), ([(0, 1), (1, 2)], 2.5)])
+def test_from_edges_refuses_non_integer_ids_and_size(edges, n):
+    # int() would truncate 1.7 and 2.2 and build a triangle
+    with pytest.raises(InputError) as info:
+        Graph.from_edges(edges, n=n)
+    assert info.value.code == "invalid-argument"
+
+
 def test_adjacency_is_immutable():
     g = path_graph(3)
     with pytest.raises(ValueError):

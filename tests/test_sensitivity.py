@@ -131,6 +131,19 @@ def test_first_derivatives_tied_match_finite_differences():
     assert (np.abs(d1 - fd) / np.abs(fd)).max() < 1e-4
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_tied_first_derivative_is_the_sum_over_own_rates(seed):
+    # the all-ones direction is the sum of the e_i, so the tied derivative is
+    # the row sum of the independent matrix
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(int(rng.integers(4, 10)), rng, 0.3)
+    r = RateConfig.for_graph(g, rng.uniform(1.5, 3.0, g.n) / g.spectral_radius, rng.uniform(0.5, 2.0))
+    ss = solve(g, r, tol=1e-12)
+    rows = first_derivatives(g, r, ss).sum(axis=1)
+    tied = first_derivatives(g, r, ss, mode="tied")
+    assert np.abs(tied - rows).max() <= 1e-12 * np.abs(rows).max()
+
+
 def test_second_derivatives_triangle():
     g, r, ss = triangle_state()
     d2 = second_derivatives(g, r, ss)
@@ -307,7 +320,10 @@ def test_optimal_curing_rate_argument_validation():
 
 def own_rate_derivative(g, rates, i, delta_i, solver_tol=1e-12):
     """dv_i/d delta_i with node i's curing rate set to delta_i; None if that
-    configuration is not endemic or its solve fails."""
+    configuration is not endemic or its solve fails.  The eager scan visits
+    grid points the walk never reaches (delta_i down to 1e-3 of its value),
+    where a 1e-12 solve can stall at its residual floor, so any failure
+    counts as a skipped point here."""
     delta = rates.delta.copy()
     delta[i] = delta_i
     trial = RateConfig.for_graph(g, rates.beta, delta)
@@ -474,7 +490,9 @@ def loop_convexity_verdicts(g, rates, scales=(0.6, 0.8, 1.0, 1.25, 1.5), deadban
             trial = RateConfig.for_graph(g, rates.beta, delta)
             try:
                 ss = solve(g, trial, tol=1e-12)
-            except NumericalError:
+            except NumericalError as exc:
+                if exc.code != "critical-threshold":
+                    raise
                 ss = None
             if ss is None or ss.regime != "endemic":
                 skipped += 1
@@ -521,6 +539,49 @@ def test_convexity_verdicts_match_per_node_loop(name):
     expected, skipped = loop_convexity_verdicts(g, r, scales)
     assert convexity_verdicts(g, r, scales) == expected
     assert (skipped > 0) == leaves
+
+
+def test_sweeps_raise_a_stalled_solve_deep_in_the_endemic_regime():
+    # lambda_max(R) = 112: every 1e-12 solve here stalls at its residual
+    # floor, which is a solver failure, not a point outside the regime
+    g = star_graph(6)
+    r = RateConfig.for_graph(g, 50.0, 1.0)
+    try:
+        verdicts = convexity_verdicts(g, r)
+    except NumericalError as exc:
+        assert exc.code == "no-convergence"
+    else:
+        assert all(verdicts[i][i] == "convex" for i in range(g.n))
+    assert outcome(optimal_curing_rate, g, r, 0, 0.01) != "no-interior-optimum"
+
+
+def failing_at_one_scaled_point(monkeypatch, base, factor):
+    """Patch the solver to raise no-convergence where node 0's curing rate is factor times its base value."""
+
+    def solve_or_fail(g, rates, *args, **kwargs):
+        if np.isclose(rates.delta[0], factor * base.delta[0], rtol=1e-12):
+            raise NumericalError("stalled", code="no-convergence")
+        return solve(g, rates, *args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "solve", solve_or_fail)
+
+
+def test_convexity_verdicts_raise_a_failed_sweep_solve(monkeypatch):
+    g = complete_graph(5)
+    r = homogeneous_rates(g, 1.0)
+    failing_at_one_scaled_point(monkeypatch, r, 0.8)
+    with pytest.raises(NumericalError) as info:
+        convexity_verdicts(g, r)
+    assert info.value.code == "no-convergence"
+
+
+def test_optimal_curing_rate_raises_a_failed_walk_solve(monkeypatch):
+    g, r, i, price = optimum_cases()["k3-below"]  # walks down from delta_0 = 2
+    assert i == 0
+    failing_at_one_scaled_point(monkeypatch, r, np.geomspace(1e-3, 1e3, 49)[23])  # its first step
+    with pytest.raises(NumericalError) as info:
+        optimal_curing_rate(g, r, i, price)
+    assert info.value.code == "no-convergence"
 
 
 def test_full_report_solves_the_unscaled_rates_once(monkeypatch):
@@ -696,3 +757,12 @@ def test_full_report_matches_dense_solves(tied):
     for name, expected in reference.items():
         got = getattr(report, name)
         assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max(), name
+
+
+def test_node_index_must_be_an_integer():
+    g, r, ss = triangle_state()
+    assert schur_derivative(g, r, ss, np.int64(1)) == schur_derivative(g, r, ss, 1)
+    for call in (lambda: schur_derivative(g, r, ss, 1.5), lambda: optimal_curing_rate(g, r, 1.5, 0.3)):
+        with pytest.raises(InputError) as info:
+            call()
+        assert info.value.code == "invalid-argument"

@@ -222,3 +222,24 @@ def test_uniqueness_probe():
     consistent, spread = uniqueness_probe(g, homogeneous_rates(g, 1.0))
     assert consistent
     assert spread <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_iter": -1}, {"max_iter": 2.5}, {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}],
+)
+def test_solve_refuses_an_unreachable_tolerance_or_a_non_integer_cap(kwargs):
+    # a negative or fractional cap is never met, and no residual meets tol <= 0 or nan
+    g = complete_graph(3)
+    with pytest.raises(InputError) as info:
+        solve(g, homogeneous_rates(g, 2.0), **kwargs)
+    assert info.value.code == "invalid-argument"
+
+
+@pytest.mark.parametrize("depth", [2.5, -1])
+def test_truncated_iterate_refuses_a_non_integer_or_negative_depth(depth):
+    g = complete_graph(3)
+    with pytest.raises(InputError) as info:
+        truncated_iterate(g, homogeneous_rates(g, 2.0), depth)
+    assert info.value.code == "invalid-argument"
+

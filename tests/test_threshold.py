@@ -267,3 +267,9 @@ def test_rate_linearity_of_lambda():
     lam1 = classify(g, r1).lambda_max_R
     lam2 = classify(g, r2).lambda_max_R
     assert abs(lam2 - 2.0 * lam1) < 1e-10
+
+
+def test_perturbation_size_must_be_an_integer():
+    with pytest.raises(InputError) as info:
+        critical_perturbation(0.1, 2.5)
+    assert info.value.code == "invalid-argument"
