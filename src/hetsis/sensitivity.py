@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _node
+from .spectral import _definite_above
 from .steady_state import SteadyState, solve
 
 __all__ = [
@@ -79,15 +80,13 @@ def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarr
     s = cure - g.adjacency * rates.beta[None, :]
     root = np.sqrt(rates.beta)
     sym = cure - root[:, None] * g.adjacency * root[None, :]
-    try:
-        np.linalg.cholesky(sym - _PD_FLOOR * np.eye(g.n))
-    except np.linalg.LinAlgError:
+    if not _definite_above(sym, _PD_FLOOR):
         smallest = float(np.linalg.eigvalsh(sym)[0])
         raise NumericalError(
             f"sensitivity matrix not positive definite (smallest eigenvalue {smallest:.3e}); "
             "near critical threshold",
             code="near-critical",
-        ) from None
+        )
     return s
 
 

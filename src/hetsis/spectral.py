@@ -100,6 +100,16 @@ def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, x
 
 
+def _definite_above(m: np.ndarray, floor: float) -> bool:
+    """Whether every eigenvalue of the symmetric m exceeds floor, that is,
+    whether m - floor I has a Cholesky factorization."""
+    try:
+        np.linalg.cholesky(m - floor * np.eye(m.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def effective_adjacency(g: Graph, tau: np.ndarray) -> np.ndarray:
     """Symmetric effective-rate coupling diag(sqrt tau) A diag(sqrt tau).
 

@@ -1,14 +1,27 @@
 """Metastable steady states of the heterogeneous mean-field SIS model.
 
 Above the critical surface the model has a unique non-trivial fixed
-point, reached here by iterating the monotone map
+point, the largest root of
+
+    F(v)_i = sum_j a_ij beta_j v_j - delta_i v_i / (1 - v_i).
+
+``solve`` first iterates the monotone map
 
     v_i <- 1 - 1 / (1 + delta_i^{-1} sum_j beta_j a_ij v_j)
 
 from the componentwise upper bound v_i = 1 - 1/(1 + gamma_i/delta_i).
 Successive iterates decrease monotonically onto the largest fixed point,
 so the k-th iterate equals the depth-k truncation of the underlying
-continued-fraction representation of v_i.
+continued-fraction representation of v_i.  Near the critical surface
+the map contracts only at a rate of about 1 - (lambda_max(R) - 1), so
+once the contraction observed in successive residuals predicts a long
+run, ``solve`` switches to Newton steps v <- v + S^{-1} F(v), with S =
+diag(delta/(1 - v)^2) - A diag(beta) the Jacobian of -F.  -F is convex
+for v < 1, S has a nonnegative inverse there and every map iterate has
+F <= 0, so the Newton iterates also decrease monotonically onto the
+fixed point (the monotone Newton theorem, Ortega & Rheinboldt 1970,
+13.3).  The regime comes from two Cholesky attempts, not an eigensolve:
+lambda_max(R) < c exactly when c I - R is positive definite.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _integer
-from .spectral import dominant_eigenpair, effective_adjacency
+from .spectral import _definite_above, effective_adjacency
 
 __all__ = [
     "SteadyState",
@@ -37,6 +50,7 @@ __all__ = [
 CRITICAL_BAND = 1e-9
 _TOL = 1e-10  # solve's default tolerance and iteration cap, also the uniqueness probe's
 _MAX_ITER = 10**6
+_NEWTON_AFTER = 200  # predicted map steps beyond which solve takes Newton steps; one costs ~35 map steps at n = 200
 _IDENTITY_TOL = 1e-7
 _PROBE_STARTS = 10
 _PROBE_SEED = 0
@@ -55,7 +69,9 @@ class SteadyState:
     """Converged fixed point, scaled variants, and solver diagnostics.
 
     v_tilde = beta * v_inf, w = A (beta * v_inf) + delta, and the
-    residual is max_i |sum_j a_ij beta_j v_j - v_i delta_i / (1 - v_i)|.
+    residual is max_i |sum_j a_ij beta_j v_j - v_i delta_i / (1 - v_i)|
+    in units of max_i delta_i.  path is "extinct", "map" or "map+newton";
+    iterations counts map and Newton steps together.
     """
 
     v_inf: np.ndarray
@@ -65,6 +81,7 @@ class SteadyState:
     residual: float
     regime: str
     y_inf: float
+    path: str = field(repr=False)
 
 
 def _upper_start(rates: RateConfig) -> np.ndarray:
@@ -82,22 +99,73 @@ def _orbit(g: Graph, rates: RateConfig, v: np.ndarray):
         v = pressure / (delta + pressure)
 
 
-def _iterate(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: int):
+def _no_convergence(tol: float, k: int, residual: float, stalled: bool) -> NumericalError:
+    return NumericalError(
+        f"fixed-point iteration did not reach tolerance {tol:g} in {k} iterations "
+        f"({'stalled at residual floor' if stalled else 'residual'} {residual:.3e})",
+        code="no-convergence",
+    )
+
+
+def _iterate(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: int, patience: float = np.inf):
+    """Map iterates from v until the residual meets tol: (v, steps, residual, converged).
+
+    Returns unconverged once the contraction observed over the last two
+    steps predicts more than ``patience`` further steps.
+    """
     delta = rates.delta
-    previous = last = None
+    scale = float(delta.max())
+    previous = last = earlier = None
     for k, (v, pressure) in enumerate(_orbit(g, rates, v)):
-        residual = float(np.abs(pressure - v * delta / (1.0 - v)).max())
+        residual = float(np.abs(pressure - v * delta / (1.0 - v)).max()) / scale
         if residual <= tol:
-            return v, k, residual
+            return v, k, residual, True
         # an iterate the map returns unchanged is final; compare arrays only when the residual repeats
         stalled = residual == last and np.array_equal(v, previous)
         if stalled or k == max_iter:
-            raise NumericalError(
-                f"fixed-point iteration did not reach tolerance {tol:g} in {k} iterations "
-                f"({'stalled at residual floor' if stalled else 'residual'} {residual:.3e})",
-                code="no-convergence",
-            )
-        previous, last = v, residual
+            raise _no_convergence(tol, k, residual, stalled)
+        # at the contraction rho = sqrt(residual/earlier) of the last two steps (the
+        # residual may alternate), log(tol/residual) / log(rho) more steps are due
+        if earlier is not None and residual < earlier:
+            if 2.0 * np.log(tol / residual) < patience * np.log(residual / earlier):
+                return v, k, residual, False
+        previous, earlier, last = v, last, residual
+
+
+def _newton_orbit(g: Graph, rates: RateConfig, v: np.ndarray):
+    """Newton iterates v <- v + S^{-1} F(v) from v, each with F(v) and the
+    size max|S^{-1} F| of the step that led to it (inf for v itself)."""
+    a = g.adjacency
+    beta, delta = rates.beta, rates.delta
+    coupling = a * beta[None, :]
+    step = np.inf
+    while True:
+        f = a @ (beta * v) - v * delta / (1.0 - v)
+        yield v, f, step
+        try:
+            increment = np.linalg.solve(np.diag(delta / (1.0 - v) ** 2) - coupling, f)
+        except np.linalg.LinAlgError:
+            raise NumericalError("Newton system singular", code="no-convergence") from None
+        v, step = v + increment, float(np.abs(increment).max())
+        if not 0.0 < v.min() <= v.max() < 1.0:  # also false when an entry is nan
+            raise NumericalError("Newton iterate left (0, 1)", code="no-convergence")
+
+
+def _newton_finish(g: Graph, rates: RateConfig, v: np.ndarray, k: int, tol: float, max_iter: int):
+    """Newton steps from the k-th map iterate until the residual and the
+    last step both meet tol: (v, steps, residual)."""
+    scale = float(rates.delta.max())
+    last = None
+    for v, f, step in _newton_orbit(g, rates, v):
+        residual = float(np.abs(f).max()) / scale
+        if residual <= tol and step <= tol:
+            return v, k, residual
+        # monotone Newton steps shrink until rounding error dominates them
+        stalled = last is not None and step >= last
+        if stalled or k == max_iter:
+            raise _no_convergence(tol, k, residual, stalled)
+        last = step
+        k += 1
 
 
 def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_ITER) -> SteadyState:
@@ -105,18 +173,25 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
 
     Below the critical surface the all-zero state is returned with regime
     "extinct"; on the surface (spectral radius within 1e-9 of one) the
-    problem is degenerate and an error is raised; above it the endemic
-    fixed point is found by monotone iteration from the upper bound.  tol
-    must be positive and finite, max_iter a non-negative integer.
+    problem is degenerate and an error is raised.  Both are decided by
+    Cholesky factorizations of (1 +/- 1e-9) I - R.  Above the surface the
+    endemic fixed point is found by monotone iteration from the upper
+    bound (path "map"), which stops once the residual, in units of
+    max_i delta_i, is at most tol.  When the contraction of the residual
+    over the last two map steps predicts more than 200 further steps,
+    Newton steps take over (path "map+newton") and stop once the residual
+    and the last step are both at most tol.  An iterate that stalls above tol, leaves
+    (0, 1) or reaches max_iter steps in all raises ``no-convergence``.
+    tol must be positive and finite, max_iter a non-negative integer.
     """
     if not 0.0 < tol < np.inf:
         raise InputError(f"tol must be positive and finite, got {tol!r}", code="invalid-argument")
     max_iter = _integer(max_iter, "max_iter", 0)
-    lam, _ = dominant_eigenpair(effective_adjacency(g, rates.tau))
-    side = surface_side(lam)
-    if side == 0:
-        raise NumericalError("at critical threshold, derivative undefined", code="critical-threshold")
-    if side < 0:
+    # lambda_max(R) < c exactly when -R has every eigenvalue above -c
+    minus_r = -effective_adjacency(g, rates.tau)
+    if _definite_above(minus_r, -(1.0 + CRITICAL_BAND)):
+        if not _definite_above(minus_r, -(1.0 - CRITICAL_BAND)):
+            raise NumericalError("at critical threshold, derivative undefined", code="critical-threshold")
         zeros = np.zeros(g.n)
         return SteadyState(
             v_inf=zeros,
@@ -126,8 +201,11 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
             residual=0.0,
             regime="extinct",
             y_inf=0.0,
+            path="extinct",
         )
-    v, iterations, residual = _iterate(g, rates, _upper_start(rates), tol, max_iter)
+    v, iterations, residual, converged = _iterate(g, rates, _upper_start(rates), tol, max_iter, _NEWTON_AFTER)
+    if not converged:
+        v, iterations, residual = _newton_finish(g, rates, v, iterations, tol, max_iter)
     v_tilde = rates.beta * v
     return SteadyState(
         v_inf=v,
@@ -137,6 +215,7 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
         residual=residual,
         regime="endemic",
         y_inf=float(v.mean()),
+        path="map" if converged else "map+newton",
     )
 
 
@@ -144,7 +223,8 @@ def truncated_iterate(g: Graph, rates: RateConfig, depth: int) -> np.ndarray:
     """Depth-k truncation of the continued-fraction iteration.
 
     Applies the fixed-point map exactly ``depth`` times from the upper
-    bound start, replaying what ``solve`` computes before it stops.
+    bound start, replaying what ``solve`` computes before it stops on the
+    map path.
     """
     depth = _integer(depth, "depth", 0)
     v, _ = next(islice(_orbit(g, rates, _upper_start(rates)), depth, None))
@@ -240,7 +320,9 @@ def uniqueness_probe(g: Graph, rates: RateConfig) -> tuple[bool, float]:
     Returns (consistent, max_spread) where consistent means every start
     landed within 1e-6 of the reference fixed point ``solve`` returns.
     The model is conjectured to have a single non-trivial fixed point;
-    this probes it without asserting.
+    this probes it without asserting.  The starts iterate the map alone:
+    a random interior start need not have F(v) <= 0, so the monotone
+    Newton finish of ``solve`` does not apply to it.
     """
     reference = solve(g, rates)
     if reference.regime != "endemic":
@@ -249,6 +331,6 @@ def uniqueness_probe(g: Graph, rates: RateConfig) -> tuple[bool, float]:
     spread = 0.0
     for _ in range(_PROBE_STARTS):
         v0 = rng.uniform(0.05, 0.95, size=g.n)
-        v, _, _ = _iterate(g, rates, v0, _TOL, _MAX_ITER)
+        v, _, _, _ = _iterate(g, rates, v0, _TOL, _MAX_ITER)
         spread = max(spread, float(np.abs(v - reference.v_inf).max()))
     return spread <= 1e-6, spread

@@ -666,7 +666,8 @@ def exact_state(g, r, v) -> SteadyState:
     residual = float(np.abs(g.adjacency @ v_tilde - v * r.delta / (1.0 - v)).max())
     assert residual <= 1e-14
     return SteadyState(
-        v_inf=v, v_tilde=v_tilde, w=w, iterations=0, residual=residual, regime="endemic", y_inf=float(v.mean())
+        v_inf=v, v_tilde=v_tilde, w=w, iterations=0, residual=residual, regime="endemic", y_inf=float(v.mean()),
+        path="map",
     )
 
 

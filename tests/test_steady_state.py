@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hetsis
 from hetsis import (
+    Graph,
     InputError,
     NumericalError,
     RateConfig,
     bounds,
+    effective_adjacency,
     solve,
+    surface_side,
     truncated_iterate,
     uniqueness_probe,
     verify_identities,
 )
+from hetsis import steady_state
 
 from conftest import (
     complete_graph,
@@ -24,6 +29,58 @@ from conftest import (
     star_graph,
     within_seconds,
 )
+
+
+def preferential_attachment(n: int, m: int, rng: np.random.Generator) -> Graph:
+    """Each new node links to m distinct nodes drawn in proportion to degree,
+    starting from a complete graph on m + 1 nodes."""
+    edges = [(i, j) for i in range(m + 1) for j in range(i + 1, m + 1)]
+    ends = [u for e in edges for u in e]
+    for v in range(m + 1, n):
+        chosen = set()
+        while len(chosen) < m:
+            chosen.add(ends[int(rng.integers(len(ends)))])
+        for u in sorted(chosen):
+            edges.append((u, v))
+            ends += [u, v]
+    return Graph.from_edges(edges)
+
+
+def gnm_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
+    """m distinct uniform edges on n nodes, redrawn until they connect all n."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    while True:
+        try:
+            return Graph.from_edges([pairs[k] for k in rng.choice(len(pairs), size=m, replace=False)], n=n)
+        except InputError:  # an isolated node or a disconnected graph
+            continue
+
+
+def newton_reference(adjacency, beta, delta, tol: float = 1e-14) -> np.ndarray:
+    """Endemic fixed point by damped Newton on dense numpy solves, from the
+    upper bound; shares no code with the package."""
+    gamma = adjacency @ beta
+    v = gamma / (gamma + delta)
+    for _ in range(200):
+        f = adjacency @ (beta * v) - delta * v / (1.0 - v)
+        if np.abs(f).max() <= tol:
+            return v
+        jac = adjacency * beta[None, :] - np.diag(delta / (1.0 - v) ** 2)
+        step = np.linalg.solve(jac, -f)
+        scale = 1.0
+        while np.any(v + scale * step <= 0.0) or np.any(v + scale * step >= 1.0):
+            scale *= 0.5
+        v = v + scale * step
+    raise RuntimeError("reference Newton iteration did not converge")
+
+
+def near_surface_case(offset: float):
+    """n = 200 preferential-attachment graph, heterogeneous beta and delta,
+    lambda_max(R) = 1 + offset; with its Newton reference state."""
+    rng = np.random.default_rng(2013)
+    g = preferential_attachment(200, 3, rng)
+    r = random_rates_at(g, rng, target=1.0 + offset)
+    return g, r, newton_reference(g.adjacency, r.beta, r.delta)
 
 
 def test_triangle_unit_rates():
@@ -65,7 +122,7 @@ def test_star_closed_form():
 def test_below_threshold_is_exactly_zero():
     g = complete_graph(3)
     ss = solve(g, RateConfig.for_graph(g, 0.3, 1.0))
-    assert ss.regime == "extinct"
+    assert ss.regime == "extinct" and ss.path == "extinct"
     assert np.all(ss.v_inf == 0.0)
     assert ss.y_inf == 0.0
     assert np.array_equal(ss.w, np.ones(3))
@@ -128,6 +185,7 @@ def test_truncation_at_stop_depth_replays_solver():
     g = star_graph(6)
     r = homogeneous_rates(g, 1.5)
     ss = solve(g, r)
+    assert ss.path == "map"
     assert np.array_equal(truncated_iterate(g, r, ss.iterations), ss.v_inf)
 
 
@@ -243,3 +301,89 @@ def test_truncated_iterate_refuses_a_non_integer_or_negative_depth(depth):
         truncated_iterate(g, homogeneous_rates(g, 2.0), depth)
     assert info.value.code == "invalid-argument"
 
+
+
+@pytest.mark.parametrize("offset", [1e-2, 1e-3, 1e-4])
+def test_solve_matches_newton_reference_near_the_surface(offset):
+    # the map contracts at about 1 - offset: stopping it on the residual
+    # alone left an error of about residual / offset (6.6e-3 relative at 1e-4)
+    g, r, v_ref = near_surface_case(offset)
+    ss = solve(g, r)
+    assert np.abs(ss.v_inf - v_ref).max() <= 1e-9 * v_ref.max()
+    assert abs(ss.y_inf - v_ref.mean()) <= 1e-9 * v_ref.max()
+    assert ss.path == "map+newton"
+
+
+@pytest.mark.parametrize("offset", [1e-2, 1e-3, 1e-4])
+def test_newton_iterates_decrease_onto_the_fixed_point(offset, monkeypatch):
+    g, r, v_ref = near_surface_case(offset)
+    iterates = []
+    orbit = steady_state._newton_orbit
+
+    def recording(*args):
+        for item in orbit(*args):
+            iterates.append(item[0])
+            yield item
+
+    monkeypatch.setattr(steady_state, "_newton_orbit", recording)
+    ss = solve(g, r)
+    assert ss.path == "map+newton" and len(iterates) >= 3
+    assert iterates[-1] is ss.v_inf
+    for previous, current in zip(iterates, iterates[1:]):
+        assert np.all(current <= previous)
+        assert np.all(current >= v_ref - 1e-15)
+
+
+def test_newton_finish_raises_at_its_residual_floor():
+    g, r, _ = near_surface_case(1e-4)
+    with within_seconds(5), pytest.raises(NumericalError, match="stalled at residual floor") as err:
+        solve(g, r, tol=1e-30)
+    assert err.value.code == "no-convergence"
+
+
+def _regime_cases():
+    rng = np.random.default_rng(11)
+    graphs = [star_graph(n) for n in (3, 4, 7, 16, 31, 59)]
+    graphs += [gnm_graph(n, m, rng) for n, m in ((5, 6), (12, 20), (23, 50), (40, 100), (59, 120))]
+    offsets = [sign * 5.0 * 10.0**-k for k in range(1, 11) for sign in (1.0, -1.0)]
+    for g in graphs:
+        for offset in offsets:
+            yield g, random_rates_at(g, rng, target=1.0 + offset)
+
+
+def test_regime_by_cholesky_agrees_with_eigvalsh(monkeypatch):
+    # offsets from +-0.5 down to +-5e-10 cross both edges of the dead band;
+    # max_iter=0 stops an endemic solve right after the regime decision
+    cases = list(_regime_cases())
+    expected = [surface_side(float(np.linalg.eigvalsh(effective_adjacency(g, r.tau))[-1])) for g, r in cases]
+    assert set(expected) == {-1, 0, 1}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve ran an eigensolver")
+
+    assert not hasattr(steady_state, "dominant_eigenpair")
+    monkeypatch.setattr(hetsis.spectral, "dominant_eigenpair", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    disagreements = 0
+    for (g, r), side in zip(cases, expected):
+        try:
+            found = -1 if solve(g, r, max_iter=0).regime == "extinct" else 1
+        except NumericalError as exc:
+            found = {"critical-threshold": 0, "no-convergence": 1}[exc.code]
+        disagreements += found != side
+    assert disagreements == 0
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_solution_does_not_depend_on_the_time_unit(tol):
+    # scaling beta and delta by c leaves the fixed point unchanged; the
+    # residual is measured in units of max delta, so the stop is unchanged too
+    rng = np.random.default_rng(4)
+    walk = random_connected_graph(7, rng)
+    for g, beta, delta in ((star_graph(6), 2.0, 1.0), (walk, rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 7))):
+        results = [solve(g, RateConfig.for_graph(g, beta * c, delta * c), tol=tol) for c in (1e-3, 1.0, 1e4)]
+        for ss in results:
+            assert ss.path == "map" and ss.residual <= tol
+            assert ss.iterations == results[1].iterations
+            assert np.abs(ss.v_inf - results[1].v_inf).max() <= 1e-14
