@@ -226,11 +226,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dynamics", help="transient trajectory as CSV")
     _add_rate_options(p)
     p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--dt-hint", type=float)
+    p.add_argument("--dt-hint", type=float, help="first trial step (positive, finite); the error control picks the rest")
     p.add_argument("--v0", type=float, default=0.9, help="scalar initial infection probability")
     p.add_argument("--v0-list", help="comma-separated initial probabilities")
-    p.add_argument("--max-points", type=int, default=2000)
-    p.add_argument("--full-resolution", action="store_true")
+    p.add_argument("--max-points", type=int, default=2000, help="keep at most this many rows (every stride-th step plus the last)")
+    p.add_argument("--full-resolution", action="store_true", help="one row per accepted step, ignoring --max-points")
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("threshold", help="critical-surface classification and bounds")

@@ -188,7 +188,19 @@ def test_dynamics_full_resolution_keeps_every_step(capsys, triangle_file):
     argv = ["dynamics", "--graph", triangle_file, "--beta", "2.0", "--delta", "1.0", "--t-end", "5.0"]
     code, out = run_cli(capsys, argv + ["--max-points", "40", "--full-resolution"])
     assert code == 0
-    assert len(out.strip().split("\n")) == 1 + 251  # header, t = 0 and 250 steps of 0.1 / 5
+    rows = out.strip().split("\n")[1:]
+    g = hetsis.parse_edge_list(Path(triangle_file).read_text())
+    traj = hetsis.integrate(g, hetsis.RateConfig.for_graph(g, 2.0, 1.0), np.full(3, 0.9), 5.0, max_points=None)
+    assert len(rows) == 1 + traj.steps > 40  # t = 0 and one row per accepted step
+    assert [float(row.split(",")[0]) for row in rows] == traj.times.tolist()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_dynamics_non_finite_dt_hint_exits_2(capsys, triangle_file, value):
+    argv = ["dynamics", "--graph", triangle_file, "--beta", "2.0", "--delta", "1.0", "--t-end", "1.0"]
+    code, out = run_cli(capsys, argv + [f"--dt-hint={value}"])
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid-argument"
 
 
 def test_kn_malformed_tau_list_exits_2(capsys):
@@ -311,12 +323,17 @@ def test_entry_point_byte_identical(triangle_file):
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg alone adds about 0.1 s to start-up; the package uses
-    # numpy.linalg so that `import hetsis, hetsis.cli` does not pay it
+    # scipy.linalg alone adds about 0.1 s to start-up, and scipy.integrate
+    # (which loads it) about 0.5 s; the package uses numpy.linalg and its own
+    # integrator so that `import hetsis, hetsis.cli` pays neither
     src = str(Path(hetsis.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, hetsis, hetsis.cli; print(hetsis.__file__); print('scipy.linalg' in sys.modules)"
+    code = (
+        "import sys, hetsis, hetsis.cli; print(hetsis.__file__); "
+        "print('scipy.linalg' in sys.modules, 'scipy.integrate' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    origin, loaded = out.stdout.split()
+    origin, linalg_loaded, integrate_loaded = out.stdout.split()
     assert Path(origin).resolve() == Path(hetsis.__file__).resolve()
-    assert loaded == "False"
+    assert linalg_loaded == "False"
+    assert integrate_loaded == "False"

@@ -5,10 +5,20 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
-from hetsis import InputError, RateConfig, default_step, integrate, mean_field_rhs, solve
+from hetsis import InputError, NumericalError, RateConfig, default_step, dynamics, integrate, mean_field_rhs, solve
 
-from conftest import complete_graph, cycle_graph, homogeneous_rates, random_connected_graph, random_rates_at
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    eigvalsh_lambda_max,
+    homogeneous_rates,
+    random_connected_graph,
+    random_rates_at,
+    star_graph,
+    within_seconds,
+)
 
 
 def test_rhs_zero_at_healthy_state():
@@ -112,31 +122,37 @@ def test_trajectory_invariants():
 def test_integrate_downsamples_to_max_points():
     g = complete_graph(3)
     r = RateConfig.for_graph(g, 1.0, 1.0)
-    traj = integrate(g, r, np.full(3, 0.9), t_end=30.0, max_points=50)
-    assert len(traj.times) <= 50
-    assert traj.times[0] == 0.0 and abs(traj.times[-1] - 30.0) < 1e-12
     full = integrate(g, r, np.full(3, 0.9), t_end=30.0, max_points=None)
-    assert len(full.times) > 50
-    # every stride-th step plus the last, and exact samples of the full run, not interpolants
-    n_steps = len(full.times) - 1
-    stride = -(-n_steps // 49)
-    idx = list(range(0, n_steps, stride)) + [n_steps]
-    assert np.array_equal(full.times[idx], traj.times)
-    assert np.array_equal(full.states[idx], traj.states)
-    assert traj.terminal_residual == full.terminal_residual
+    n_steps = full.steps
+    assert n_steps > 40
+    for max_points in (2, 3, 10, 17, n_steps // 2):
+        traj = integrate(g, r, np.full(3, 0.9), t_end=30.0, max_points=max_points)
+        # every stride-th accepted step plus the last, at the smallest power-of-two
+        # stride that fits; exact states of the full run, not interpolants
+        stride = 1
+        while len(range(0, n_steps, stride)) + 1 > max_points:
+            stride *= 2
+        idx = list(range(0, n_steps, stride)) + [n_steps]
+        assert len(traj.times) == len(idx) <= max_points
+        assert traj.times[0] == 0.0 and traj.times[-1] == 30.0
+        assert np.array_equal(full.times[idx], traj.times)
+        assert np.array_equal(full.states[idx], traj.states)
+        assert (traj.steps, traj.rejected) == (full.steps, full.rejected)
+        assert traj.terminal_residual == full.terminal_residual
 
 
 def test_integrate_keeps_every_step_up_to_max_points():
     g = complete_graph(3)
     r = RateConfig.for_graph(g, 1.0, 1.0)
     full = integrate(g, r, np.full(3, 0.9), t_end=1.0, max_points=None)
-    assert len(full.times) == 31  # 30 steps of 1/30
-    for max_points in (31, 1000, np.int64(31)):
+    n = len(full.times)
+    assert n == full.steps + 1 > 2
+    for max_points in (n, 1000, np.int64(n)):
         traj = integrate(g, r, np.full(3, 0.9), t_end=1.0, max_points=max_points)
         assert np.array_equal(traj.times, full.times) and np.array_equal(traj.states, full.states)
     ends = integrate(g, r, np.full(3, 0.9), t_end=1.0, max_points=2)
-    assert np.array_equal(ends.times, full.times[[0, 30]])
-    assert np.array_equal(ends.states, full.states[[0, 30]])
+    assert np.array_equal(ends.times, full.times[[0, -1]])
+    assert np.array_equal(ends.states, full.states[[0, -1]])
 
 
 def test_integrate_memory_independent_of_horizon():
@@ -146,36 +162,90 @@ def test_integrate_memory_independent_of_horizon():
     v0 = np.full(30, 0.5)
     tracemalloc.start()
     try:
-        traj = integrate(g, r, v0, t_end=20.0, dt_hint=1e-3, max_points=100)
+        traj = integrate(g, r, v0, t_end=4000.0, dt_hint=1e-3, max_points=100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(traj.times) <= 100
-    assert peak < 0.5e6  # all 20,000 steps of 30 states would take 4.8 MB
+    assert traj.steps >= 10 * 100
+    assert peak < 0.5e6  # all ~4,000 accepted states of 30, as arrays, would take 1.4 MB
 
 
 def test_integrate_respects_dt_hint():
     g = complete_graph(3)
-    r = RateConfig.for_graph(g, 1.0, 1.0)
-    # a hint finer than the stability default is honored exactly
-    traj = integrate(g, r, np.full(3, 0.9), t_end=1.0, dt_hint=0.02, max_points=None)
-    assert abs(traj.times[1] - 0.02) < 1e-12
-    assert len(traj.times) == 51
-    # a coarser hint is capped at the stability default (0.1 / max rate)
-    capped = integrate(g, r, np.full(3, 0.9), t_end=1.0, dt_hint=0.25, max_points=None)
-    assert abs(capped.times[1] - 1.0 / 30.0) < 1e-12
-
-
-def test_integrate_fourth_order_convergence():
-    g = complete_graph(3)
     r = RateConfig.for_graph(g, 2.0, 1.0)
-    v0 = np.full(3, 0.9)
-    ref = integrate(g, r, v0, t_end=1.0, dt_hint=0.0005).states[-1]
+    # the hint is the first trial step, fine or coarse: default_step (0.02)
+    # does not cap it
+    for hint in (0.01, 0.03):
+        traj = integrate(g, r, np.full(3, 0.7), t_end=1.0, dt_hint=hint, max_points=None)
+        assert traj.rejected == 0
+        assert traj.times[1] == hint
+    # without a hint the first trial step is default_step
+    traj = integrate(g, r, np.full(3, 0.7), t_end=1.0, max_points=None)
+    assert traj.rejected == 0
+    assert traj.times[1] == default_step(r) == 0.02
+    # an accepted step is followed by a longer one: the step is not fixed
+    assert traj.times[2] - traj.times[1] > traj.times[1]
+
+
+def test_integrate_fifth_order_local_error():
+    # homogeneous K3 from a symmetric state is the logistic equation
+    # x' = (2b - d) x - 2b x^2, with a closed-form solution
+    g = complete_graph(3)
+    b, d, x0 = 2.0, 1.0, 0.2
+    r = RateConfig.for_graph(g, b, d)
+    rate, level = 2 * b - d, (2 * b - d) / (2 * b)
     err = {}
-    for dt in (0.02, 0.01):
-        err[dt] = np.abs(integrate(g, r, v0, t_end=1.0, dt_hint=dt).states[-1] - ref).max()
-    ratio = err[0.02] / err[0.01]
-    assert 8.0 < ratio < 32.0
+    for h in (0.03, 0.015):
+        traj = integrate(g, r, np.full(3, x0), t_end=h, dt_hint=h)
+        assert (traj.steps, traj.rejected) == (1, 0)
+        exact = level / (1.0 + (level / x0 - 1.0) * np.exp(-rate * h))
+        err[h] = np.abs(traj.states[-1] - exact).max()
+    # a fifth-order pair has local error O(h^6): halving h divides it by 64
+    assert 32.0 <= err[0.03] / err[0.015] <= 128.0
+
+
+def dop853_states(g, r, v0, times):
+    """scipy's DOP853 at rtol 1e-13, independent of the package's integrator."""
+    a = g.adjacency
+
+    def rhs(_, v):
+        pressure = a @ (r.beta * v)
+        return pressure - v * (pressure + r.delta)
+
+    ref = solve_ivp(rhs, (0.0, times[-1]), v0, method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15)
+    assert ref.success
+    return ref.y.T
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=30),
+    st.floats(min_value=0.5, max_value=3.5),
+    st.floats(min_value=0.5, max_value=20.0),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_integrate_matches_dop853_at_every_sample(n, target, t_end, seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(n, rng)
+    r = random_rates_at(g, rng, target)
+    v0 = rng.uniform(0.0, 1.0, n)
+    traj = integrate(g, r, v0, t_end=t_end)
+    assert np.abs(traj.states - dop853_states(g, r, v0, traj.times)).max() <= 1e-8
+
+
+def test_integrate_stiff_hub_rejects_steps_and_stays_accurate():
+    # a 30-leaf star at lambda_max(R) = 3 over a long horizon: once the
+    # transient is over the step runs into the pair's stability limit,
+    # where the error control must turn steps down
+    g = star_graph(31)
+    rates = homogeneous_rates(g, 1.0)
+    lam = eigvalsh_lambda_max(g.adjacency)
+    r = RateConfig.for_graph(g, rates.beta * 3.0 / lam, rates.delta)
+    v0 = np.full(31, 0.5)
+    traj = integrate(g, r, v0, t_end=200.0, max_points=None)
+    assert traj.rejected > 0
+    assert np.abs(traj.states - dop853_states(g, r, v0, traj.times)).max() <= 1e-8
 
 
 def test_integrate_argument_validation():
@@ -187,6 +257,26 @@ def test_integrate_argument_validation():
         integrate(g, r, np.full(3, 0.5), t_end=1.0, dt_hint=0.0)
     with pytest.raises(InputError, match="length"):
         integrate(g, r, np.full(4, 0.5), t_end=1.0)
+
+
+@pytest.mark.parametrize("dt_hint", [float("nan"), float("inf"), float("-inf")])
+def test_integrate_rejects_non_finite_dt_hint(dt_hint):
+    g = complete_graph(3)
+    r = RateConfig.for_graph(g, 1.0, 1.0)
+    with pytest.raises(InputError, match="dt_hint") as info:
+        integrate(g, r, np.full(3, 0.5), t_end=1.0, dt_hint=dt_hint)
+    assert info.value.code == "invalid-argument"
+
+
+def test_integrate_step_underflow_raises(monkeypatch):
+    # a tolerance no step can meet shrinks the step to rounding level;
+    # that must end in a typed error, not in an endless loop
+    g = complete_graph(3)
+    r = RateConfig.for_graph(g, 2.0, 1.0)
+    monkeypatch.setattr(dynamics, "_TOL", 1e-300)
+    with within_seconds(10), pytest.raises(NumericalError, match="underflow") as info:
+        integrate(g, r, np.full(3, 0.5), t_end=1.0)
+    assert info.value.code == "step-instability"
 
 
 @pytest.mark.parametrize("max_points", [1, 0, -5, 2.5])
