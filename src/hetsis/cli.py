@@ -151,7 +151,7 @@ def _cmd_threshold(args) -> str:
 def _cmd_sensitivity(args) -> str:
     g = _load_graph(args.graph)
     rates = _resolve_rates(g, args, allow_bare_tau=True)
-    ss = steady_state.solve(g, rates, tol=1e-12)
+    ss = steady_state.solve(g, rates, tol=sensitivity._SOLVE_TOL)
     report = sensitivity.full_report(g, rates, ss)
     ledger = sensitivity.inverse_checks(g, rates, ss)
     doc = {
@@ -219,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steady", help="metastable steady state")
     _add_rate_options(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=10**6)
+    p.add_argument("--tol", type=float, default=steady_state._TOL)
+    p.add_argument("--max-iter", type=int, default=steady_state._MAX_ITER)
     p.set_defaults(func=_cmd_steady)
 
     p = sub.add_parser("dynamics", help="transient trajectory as CSV")

@@ -6,10 +6,13 @@ yields linear systems in the matrix
     S = diag(delta_j / (1 - v_j)^2) - A diag(beta_j),
 
 which is similar to a symmetric positive definite matrix at every
-endemic state.  ``sensitivity_matrix`` builds S and checks that through
-a Cholesky factorization of the symmetric form; each endemic state is
-linearized once.  As the curing rates move along a direction u (e_i for
-delta_i alone, the all-ones vector for a common rate), v moves with
+endemic state.  S is also the matrix of the Newton steps of ``solve``,
+and one builder in ``steady_state`` forms it for both modules.
+``sensitivity_matrix`` takes S from that builder and checks definiteness
+through a Cholesky factorization of the symmetric form; each endemic
+state is linearized once.  As the curing rates move along a direction u
+(e_i for delta_i alone, the all-ones vector for a common rate), v moves
+with
 
     x = -S^{-1}(u v/(1-v)),  x' = -S^{-1}(2 delta x^2/(1-v)^3 + 2 u x/(1-v)^2)
 
@@ -30,7 +33,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _node
 from .spectral import _definite_above
-from .steady_state import SteadyState, solve
+from .steady_state import SteadyState, _jacobian, solve
 
 __all__ = [
     "SensitivityReport",
@@ -68,18 +71,18 @@ def _require_tied(rates: RateConfig) -> None:
 
 
 def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarray:
-    """Build S at an endemic state and check that it is positive definite.
+    """S at an endemic state, checked to be positive definite.
 
     S = diag(delta/(1 - v)^2) - A diag(beta) is similar to the symmetric
-    form diag(delta/(1 - v)^2) - diag(sqrt beta) A diag(sqrt beta), whose
-    smallest eigenvalue must exceed 1e-10: a Cholesky factorization of the
-    form shifted down by 1e-10 must exist.
+    form diag(sqrt beta) S diag(sqrt beta)^{-1} = diag(delta/(1 - v)^2) -
+    diag(sqrt beta) A diag(sqrt beta), whose smallest eigenvalue must
+    exceed 1e-10: a Cholesky factorization of the form shifted down by
+    1e-10 must exist.
     """
     _require_endemic(ss)
-    cure = np.diag(rates.delta / (1.0 - ss.v_inf) ** 2)
-    s = cure - g.adjacency * rates.beta[None, :]
+    s = _jacobian(g, rates, ss.v_inf)
     root = np.sqrt(rates.beta)
-    sym = cure - root[:, None] * g.adjacency * root[None, :]
+    sym = root[:, None] * s / root[None, :]
     if not _definite_above(sym, _PD_FLOOR):
         smallest = float(np.linalg.eigvalsh(sym)[0])
         raise NumericalError(
@@ -193,19 +196,20 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     Eliminating all other coordinates leaves
         dv_i/d delta_i = -(1 - v_i) v_i / (delta_i - beta_i (1 - v_i)^2 f),
     where f is the quadratic form of node i's adjacency column in the
-    inverse weighted Laplacian of the graph without node i.  f is
-    positive and satisfies tau_i (1 - v_i)^2 f < 1 at every endemic
-    state (strict positive definiteness of the deleted-node operator);
-    both are checked before returning (f, derivative).
+    inverse weighted Laplacian diag(1/(tau (1 - v)^2)) - A of the graph
+    without node i.  f is positive and satisfies tau_i (1 - v_i)^2 f < 1
+    at every endemic state (strict positive definiteness of the
+    deleted-node operator); both are checked before returning
+    (f, derivative).  That Laplacian is S diag(1/beta) on the other
+    nodes, so f = (beta a)_rest . S_rest^{-1} a_rest.
     """
     _require_endemic(ss)
     i = _node(g, i)
     v, tau = ss.v_inf, rates.tau
     rest = np.arange(g.n) != i
-    q = 1.0 / (tau * (1.0 - v) ** 2)
-    lap_rest = np.diag(q[rest]) - g.adjacency[np.ix_(rest, rest)]
+    s_rest = _jacobian(g, rates, v)[np.ix_(rest, rest)]
     a_col = g.adjacency[rest, i]
-    f = float(a_col @ _near_critical(np.linalg.solve, lap_rest, a_col))
+    f = float((rates.beta[rest] * a_col) @ _near_critical(np.linalg.solve, s_rest, a_col))
     if f <= 0:
         raise NumericalError(f"deleted-graph quadratic form f = {f:.3e} not positive", code="sign-violation")
     damped = tau[i] * (1.0 - v[i]) ** 2 * f

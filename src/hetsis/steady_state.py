@@ -132,18 +132,25 @@ def _iterate(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: i
         previous, earlier, last = v, last, residual
 
 
+def _jacobian(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
+    """S = diag(delta/(1 - v)^2) - A diag(beta), the Jacobian of -F at v, in one array."""
+    s = g.adjacency * rates.beta
+    np.subtract(0.0, s, out=s)  # +0.0 off the edges, where a plain negation would leave -0.0
+    s.flat[:: g.n + 1] = rates.delta / (1.0 - v) ** 2  # over the zero diagonal of A
+    return s
+
+
 def _newton_orbit(g: Graph, rates: RateConfig, v: np.ndarray):
     """Newton iterates v <- v + S^{-1} F(v) from v, each with F(v) and the
     size max|S^{-1} F| of the step that led to it (inf for v itself)."""
     a = g.adjacency
     beta, delta = rates.beta, rates.delta
-    coupling = a * beta[None, :]
     step = np.inf
     while True:
         f = a @ (beta * v) - v * delta / (1.0 - v)
         yield v, f, step
         try:
-            increment = np.linalg.solve(np.diag(delta / (1.0 - v) ** 2) - coupling, f)
+            increment = np.linalg.solve(_jacobian(g, rates, v), f)
         except np.linalg.LinAlgError:
             raise NumericalError("Newton system singular", code="no-convergence") from None
         v, step = v + increment, float(np.abs(increment).max())

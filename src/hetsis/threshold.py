@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _integer, _positive_vector, walk_counts
 from .spectral import dominant_eigenpair, effective_adjacency
-from .steady_state import surface_side
+from .steady_state import CRITICAL_BAND, surface_side
 
 __all__ = [
     "ThresholdReport",
@@ -148,10 +148,10 @@ def complete_graph_lambda_max(tau) -> float:
 
 def complete_graph_critical_sum(tau) -> tuple[float, bool]:
     """Critical-surface functional sum_j 1/(tau_j + 1) and whether the
-    configuration sits on the surface (value n-1 within 1e-9)."""
+    configuration sits on the surface (value n-1 within CRITICAL_BAND)."""
     tau = _check_tau_vector(tau)
     total = float(np.sum(1.0 / (tau + 1.0)))
-    return total, bool(abs(total - (tau.size - 1.0)) <= 1e-9)
+    return total, bool(abs(total - (tau.size - 1.0)) <= CRITICAL_BAND)
 
 
 def critical_perturbation(h2: float, n: int) -> float:

@@ -258,16 +258,25 @@ def test_schur_derivative_single_edge():
 
 
 def test_schur_derivative_agrees_with_linear_solve():
+    # f against the paper's form a_col . (diag(q) - A)^{-1} a_col on the
+    # graph without node i, q = 1/(tau (1 - v)^2), built here from scratch
     rng = np.random.default_rng(31)
-    g = random_connected_graph(10, rng)
-    r = random_rates_at(g, rng, target=2.0)
-    ss = solve(g, r, tol=1e-12)
-    d1 = first_derivatives(g, r, ss)
-    for i in range(g.n):
-        f, derivative = schur_derivative(g, r, ss, i)
-        assert f > 0.0
-        assert r.tau[i] * (1.0 - ss.v_inf[i]) ** 2 * f <= 1.0 + 1e-9
-        assert abs(derivative - d1[i, i]) <= 1e-8 * max(1.0, abs(d1[i, i]))
+    cases = [(10, 2.0)] + [(n, target) for n in (3, 5, 11, 18, 30) for target in (1.05, 2.0, 5.0)]
+    for n, target in cases:
+        g = random_connected_graph(n, rng)
+        r = random_rates_at(g, rng, target)
+        ss = solve(g, r, tol=1e-12)
+        d1 = first_derivatives(g, r, ss)
+        q = 1.0 / (r.tau * (1.0 - ss.v_inf) ** 2)
+        for i in range(g.n):
+            f, derivative = schur_derivative(g, r, ss, i)
+            rest = np.arange(g.n) != i
+            a_col = g.adjacency[rest, i]
+            expected = a_col @ np.linalg.solve(np.diag(q[rest]) - g.adjacency[np.ix_(rest, rest)], a_col)
+            assert abs(f - expected) <= 1e-12 * expected
+            assert f > 0.0
+            assert r.tau[i] * (1.0 - ss.v_inf[i]) ** 2 * f <= 1.0 + 1e-9
+            assert abs(derivative - d1[i, i]) <= 1e-8 * max(1.0, abs(d1[i, i]))
 
 
 def test_optimal_curing_rate_triangle_constructed_optimum():
@@ -721,6 +730,7 @@ def test_s_matrix_accepts_solved_states_approaching_surface():
         v = ss.v_inf
         expected = np.diag(r.delta / (1.0 - v) ** 2) - g.adjacency * r.beta[None, :]
         assert np.array_equal(s, expected)
+        assert s.tobytes() == expected.tobytes()  # +0.0 off the edges, as in expected
 
 
 def solve_reference(g, r, ss):
