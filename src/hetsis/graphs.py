@@ -90,6 +90,13 @@ class Graph:
         """lambda_max(A), computed on first use and kept (the adjacency is frozen)."""
         return float(np.linalg.eigvalsh(self.adjacency)[-1])
 
+    @cached_property
+    def _walk_counts(self) -> tuple[float, float]:
+        """``walk_counts(self)``, computed on first use and kept."""
+        a = self.adjacency
+        ones = np.ones(self.n)
+        return float(ones @ (a @ (a @ (a @ ones)))), float(np.sum((a @ a) * a))
+
 
 def _require_connected(adj: np.ndarray) -> None:
     n = adj.shape[0]
@@ -133,13 +140,10 @@ def walk_counts(g: Graph) -> tuple[float, float]:
 
     Returns (total, closed) where total counts all directed 3-step walks
     and closed counts those returning to their start node.  The closed
-    count equals six times the number of triangles.
+    count equals six times the number of triangles.  The pair is computed
+    once per graph and kept, like ``Graph.spectral_radius``.
     """
-    a = g.adjacency
-    ones = np.ones(g.n)
-    total = float(ones @ (a @ (a @ (a @ ones))))
-    closed = float(np.sum((a @ a) * a))
-    return total, closed
+    return g._walk_counts
 
 
 def _positive_vector(value, n: int, name: str) -> np.ndarray:

@@ -19,8 +19,12 @@ with
 (componentwise products).  These derivatives, a Schur-complement route
 to the own-rate derivative through the node-deleted graph, a curvature
 diagnostic matrix, convexity verdicts over curing-rate sweeps, an
-optimal curing rate (a grid walk, as v_i is convex in delta_i) and a
-ledger of identities and inequalities on S^{-1} all live here.
+optimal curing rate and a ledger of identities and inequalities on
+S^{-1} all live here.  As v_i is convex in delta_i, the optimum's
+stationarity residual never falls as delta_i rises, so its search walks a
+grid to a sign change, narrows the bracket by safeguarded Newton steps
+and bisects it, inferring the sign at each midpoint outside the band of
+evaluated points instead of solving there.
 """
 
 from __future__ import annotations
@@ -240,42 +244,97 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
     """Curing rate minimizing price * delta_i + v_i at fixed other rates.
 
     Stationarity means price = -dv_i/d delta_i.  As v_i is convex in delta_i,
-    the residual r = price + dv_i/d delta_i rises with delta_i: on the grid
-    delta_i * geomspace(1e-3, 1e3, 49) the search walks from delta_i (up if
-    r < 0 there, else down) to the adjacent endemic pair where r turns
-    non-negative and bisects it to a relative width of 1e-8.  The optimum
-    always exceeds (1 - v_i) v_i / price, which is asserted on the result.
+    the residual r = price + dv_i/d delta_i never falls as delta_i rises: on
+    the grid delta_i * geomspace(1e-3, 1e3, 49) the search walks from
+    delta_i (up if r < 0 there, else down) to the adjacent endemic pair
+    (lo, hi) where r turns non-negative and bisects it to a width of
+    1e-8 max(1, hi).
+
+    The same monotonicity fixes the sign of r at most midpoints without a
+    solve.  The search keeps a band (a, b) of evaluated points with
+    r(a) <= 0 < r(b): a midpoint at or below a goes low, one at or above b
+    goes high, and only a midpoint inside the band is solved, which then
+    narrows the band.  Before the bisection, safeguarded Newton steps
+    narrow the band from the walked pair, stepping from the band's end
+    with the smaller |r|, where r' = d^2 v_i / d delta_i^2 comes from the
+    linearization.  A step that leaves the band, or is longer than half the
+    step before the last one, or starts from a point that cannot be
+    linearized, is replaced by the band's midpoint.  A step shorter than a
+    quarter of the walked pair's final width is replaced by a quarter width
+    across the root, so that the band closes from both sides.  The
+    bisection thus takes the same midpoints and returns the same rate as
+    one that solves every midpoint, at about a third of the solves.  The
+    optimum always exceeds (1 - v_i) v_i / price, which is asserted on the
+    result.
     """
     i = _node(g, i)
     if not np.isfinite(price) or price <= 0:
         raise InputError("price must be strictly positive and finite", code="invalid-argument")
 
-    def residual(delta_i: float) -> float | None:
+    def point(delta_i: float):
+        """(delta_i, r, (rates, steady state)); None if extinct or on the surface."""
         solved = _with_curing_rate(g, rates, i, delta_i)
-        return None if solved is None else price + schur_derivative(g, *solved, i)[1]
+        return None if solved is None else (delta_i, price + schur_derivative(g, *solved, i)[1], solved)
+
+    def inside(delta_i: float):
+        """point(delta_i) for a delta_i between two endemic points."""
+        p = point(delta_i)
+        if p is None:
+            raise NumericalError("no interior optimum", code="no-interior-optimum")
+        return p
 
     grid = float(rates.delta[i]) * np.geomspace(1e-3, 1e3, 49)  # grid[24] is delta_i itself
-    r_base = residual(float(grid[24]))
-    step = 1 if r_base is not None and r_base < 0.0 else -1
-    near = None if r_base is None else (grid[24], r_base)  # last endemic point walked
+    near = point(float(grid[24]))  # last endemic point walked
+    step = 1 if near is not None and near[1] < 0.0 else -1
     for x in grid[24 + step :: step]:
-        r = residual(float(x))
-        if r is None and near is None:
+        p = point(float(x))
+        if p is None and near is None:
             continue  # walking down, not yet inside the endemic run
-        if r is None or near is not None and (r < 0.0) != (near[1] < 0.0):
+        if p is None or near is not None and (p[1] < 0.0) != (near[1] < 0.0):
             break  # left the endemic run (lambda_max(R) falls as delta_i rises), or r changed sign
-        near = (x, r)
-    if r is None or near is None or (r < 0.0) == (near[1] < 0.0):
+        near = p
+    if p is None or near is None or (p[1] < 0.0) == (near[1] < 0.0):
         raise NumericalError("no interior optimum", code="no-interior-optimum")
 
-    (lo, r_lo), hi = ((x, r), near[0]) if r < 0.0 else (near, x)
+    low, high = (p, near) if p[1] < 0.0 else (near, p)
+    a = lo = low[0]
+    b = hi = high[0]
+    quarter = 0.25 * _OPTIMUM_TOL * max(1.0, hi)
+    unit = np.eye(g.n)[i]
+    pivot, slope = min(low, high, key=lambda q: abs(q[1])), None  # Newton steps start here
+    last = before = np.inf  # lengths of the last two steps
+    while b - a > 2.0 * quarter:
+        x, r, solved = pivot
+        if slope is None:
+            try:
+                slope = float(_Linearization.at(g, *solved).along(unit)[1][i])
+            except NumericalError:
+                slope = 0.0
+        target = 0.5 * (a + b)
+        if slope > 0.0:
+            move = -r / slope
+            if abs(move) < quarter:
+                move = quarter if r <= 0.0 else -quarter  # across the root
+            if a < x + move < b and abs(move) <= 0.5 * before:
+                target = x + move
+        last, before = abs(target - x), last
+        p = inside(target)
+        if p[1] <= 0.0:
+            a = target
+        else:
+            b = target
+        if abs(p[1]) < abs(pivot[1]):
+            pivot, slope = p, None
+
     while hi - lo > _OPTIMUM_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if r_mid is None:
-            raise NumericalError("no interior optimum", code="no-interior-optimum")
-        if (r_lo <= 0.0) == (r_mid <= 0.0):
-            lo, r_lo = mid, r_mid
+        if a < mid < b:
+            if inside(mid)[1] <= 0.0:
+                a = mid
+            else:
+                b = mid
+        if mid <= a:
+            lo = mid
         else:
             hi = mid
     best = 0.5 * (lo + hi)

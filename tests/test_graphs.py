@@ -181,3 +181,12 @@ def test_spectral_radius_lazy_and_kept():
     lam = g.spectral_radius
     assert abs(lam - eigvalsh_lambda_max(g.adjacency)) < 1e-12 * lam
     assert vars(g)["spectral_radius"] == lam
+
+
+def test_walk_counts_lazy_and_kept():
+    g = random_connected_graph(12, np.random.default_rng(5))
+    assert "_walk_counts" not in vars(g)  # construction does not pay for them
+    counts = walk_counts(g)
+    assert counts == brute_walk_counts(g)
+    assert vars(g)["_walk_counts"] is counts
+    assert walk_counts(g) is counts  # a second call multiplies nothing

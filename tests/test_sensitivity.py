@@ -449,9 +449,8 @@ def test_optimal_curing_rate_matches_eager_scan(name, side):
         assert (expected > r.delta[i]) == (side == "above")
 
 
-@pytest.mark.parametrize("name", ["star-hub", "star-leaf", "random-hub"])
-def test_optimal_curing_rate_solves_only_the_walked_points(name, monkeypatch):
-    g, r, i, price = optimum_cases()[name]
+def counted_solves(monkeypatch) -> list:
+    """Patch sensitivity's solver to record its calls in the returned list."""
     calls = []
 
     def counting_solve(*args, **kwargs):
@@ -459,8 +458,96 @@ def test_optimal_curing_rate_solves_only_the_walked_points(name, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(sensitivity, "solve", counting_solve)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["star-hub", "star-leaf", "random-hub", "k3-below", "path-optimum-below-extinct-delta"])
+def test_optimal_curing_rate_solves_only_the_walked_points(name, monkeypatch):
+    g, r, i, price = optimum_cases()[name]
+    calls = counted_solves(monkeypatch)
     optimal_curing_rate(g, r, i, price)
-    assert 0 < len(calls) <= 35  # the eager scan made 75
+    # 9-13 here; the eager scan made 75, and solving every bisection midpoint 30-34
+    assert 0 < len(calls) <= 16
+
+
+@pytest.mark.parametrize("scale, most", [(-1.0, 36), (10.0, 70)])
+def test_optimal_curing_rate_takes_only_its_cost_from_the_slope(scale, most, monkeypatch):
+    # r' only steers the Newton steps; every sign comes from a solved point.
+    # A negated slope makes every step a midpoint, about the 34 solves of a
+    # bisection that solves each midpoint; a tenfold slope makes steps too
+    # short, which the step-halving rule turns into midpoints.
+    g, r, i, price = optimum_cases()["star-hub"]
+    expected = optimal_curing_rate(g, r, i, price)
+    along = sensitivity._Linearization.along
+
+    def misleading(self, u):
+        x, x2 = along(self, u)
+        return x, scale * x2
+
+    monkeypatch.setattr(sensitivity._Linearization, "along", misleading)
+    calls = counted_solves(monkeypatch)
+    assert optimal_curing_rate(g, r, i, price) == expected
+    assert len(calls) <= most
+
+
+def random_optimum_configs(count=25, seed=8):
+    """Random graphs (n = 4-9, lambda_max(R) = 1.1-4) priced at 0.05-3 times
+    a random node's own-rate slope, so optima fall on both sides of its
+    curing rate and some prices leave no interior optimum."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = random_connected_graph(int(rng.integers(4, 10)), rng)
+        r = random_rates_at(g, rng, float(rng.uniform(1.1, 4.0)))
+        i = int(rng.integers(0, g.n))
+        d1 = first_derivatives(g, r, solve(g, r, tol=1e-12))
+        yield g, r, i, float(rng.uniform(0.05, 3.0)) * abs(d1[i, i])
+
+
+def test_optimal_curing_rate_matches_eager_scan_on_random_configs():
+    sides = set()
+    for g, r, i, price in random_optimum_configs():
+        expected = outcome(eager_optimal_curing_rate, g, r, i, price)
+        assert outcome(optimal_curing_rate, g, r, i, price) == expected
+        sides.add(expected if isinstance(expected, str) else expected > r.delta[i])
+    assert sides == {True, False, "no-interior-optimum"}
+
+
+def residual_profile(monkeypatch, g, r, i, price):
+    """(delta_i, dv_i/d delta_i) at every point optimal_curing_rate evaluates."""
+    seen = []
+
+    def recording(g, rates, ss, node):
+        f, derivative = schur_derivative(g, rates, ss, node)
+        seen.append((float(rates.delta[node]), derivative))
+        return f, derivative
+
+    monkeypatch.setattr(sensitivity, "schur_derivative", recording)
+    outcome(optimal_curing_rate, g, r, i, price)
+    monkeypatch.undo()
+    return sorted(seen)
+
+
+def study_like_cases():
+    """Graphs like the sensitivity benchmark's: n = 6-11, about a third of
+    all pairs linked, lambda_max(R) = 2.5, the hub priced at half its slope."""
+    rng = np.random.default_rng(14)
+    for n in (6, 7, 8, 9, 10, 11):
+        g = random_connected_graph(n, rng, extra=0.3)
+        r = random_rates_at(g, rng, 2.5)
+        hub = int(np.argmax(g.degrees))
+        d1 = first_derivatives(g, r, solve(g, r, tol=1e-12))
+        yield g, r, hub, 0.5 * abs(d1[hub, hub])
+
+
+def test_own_rate_residual_nondecreasing_where_the_search_evaluates(monkeypatch):
+    # the premise of the search's sign inference: r = price + dv_i/d delta_i
+    # never falls as delta_i rises, down to the points a 1e-8 bracket apart
+    cases = list(optimum_cases().values()) + list(study_like_cases())
+    for g, r, i, price in cases:
+        profile = residual_profile(monkeypatch, g, r, i, price)
+        assert len(profile) >= 2
+        slopes = np.array([d for _, d in profile])
+        assert np.all(np.diff(slopes) >= 0.0), np.diff(slopes).min()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 5])
