@@ -6,6 +6,8 @@ matrix directly, so the +/-lambda_max pairs of bipartite graphs (stars,
 paths, grids) need no special handling.  Each result is checked before
 it is returned: the eigen-residual, and for the dominant pair the
 simplicity of the Perron root and the strict positivity of its vector.
+Callers that read only the largest eigenvalue take it from
+``numpy.linalg.eigvalsh`` and certify it by inertia (Cholesky) instead.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ __all__ = [
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {m.shape}", code="invalid-matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InputError(f"expected a non-empty square matrix, got shape {m.shape}", code="invalid-matrix")
     largest = float(np.abs(m).max())  # inf or nan when any entry is
     if not math.isfinite(largest):
         raise InputError("matrix contains non-finite entries", code="invalid-matrix")
@@ -93,7 +95,7 @@ def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     resid = float(np.abs(m @ x - lam * x).max())
     if resid > 1e-11 * max(1.0, row_max):
         raise NumericalError(f"eigen-residual {resid:.3e} exceeds tolerance", code="no-convergence")
-    if m.shape[0] > 1 and lam - float(eigenvalues[-2]) <= 1e-10 * max(1.0, lam):
+    if lam - float(eigenvalues[-2]) <= 1e-10 * max(1.0, lam):
         raise NumericalError("dominant eigenvalue is not simple; matrix is reducible", code="reducible-matrix")
     if x.min() <= 0:
         raise NumericalError("dominant eigenvector is not strictly positive", code="no-convergence")
@@ -108,6 +110,30 @@ def _definite_above(m: np.ndarray, floor: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _lambda_max(m: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric non-negative irreducible matrix,
+    without its eigenvector.
+
+    The value comes from ``numpy.linalg.eigvalsh``.  It is returned only
+    if two Cholesky attempts certify that the true lambda_max lies in
+    [lam (1 - 1e-10), lam (1 + 1e-10)), raising ``no-convergence``
+    otherwise, and if it is simple, raising ``reducible-matrix`` otherwise,
+    as ``dominant_eigenpair`` does.  m must have at least two rows.
+    """
+    try:
+        eigenvalues = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError:
+        raise NumericalError("symmetric eigensolver did not converge", code="no-convergence") from None
+    lam = float(eigenvalues[-1])
+    # lambda_max < c exactly when -m has every eigenvalue above -c
+    minus_m, width = -m, 1e-10 * abs(lam)
+    if not _definite_above(minus_m, -(lam + width)) or _definite_above(minus_m, -(lam - width)):
+        raise NumericalError(f"eigenvalue {lam!r} fails its inertia certificate", code="no-convergence")
+    if lam - float(eigenvalues[-2]) <= 1e-10 * max(1.0, lam):
+        raise NumericalError("dominant eigenvalue is not simple; matrix is reducible", code="reducible-matrix")
+    return lam
 
 
 def effective_adjacency(g: Graph, tau: np.ndarray) -> np.ndarray:
@@ -128,18 +154,24 @@ class GeneralizedLaplacian:
     matrix: np.ndarray = field(repr=False)
 
 
-def generalized_laplacian(g: Graph, q: np.ndarray) -> GeneralizedLaplacian:
+def _check_weights(g: Graph, q) -> np.ndarray:
+    """The node-weight rule: a vector of length n with every entry finite."""
     q = np.asarray(q, dtype=float)
     if q.shape != (g.n,):
-        raise InputError(f"q must have length {g.n}", code="length-mismatch")
+        raise InputError(f"q must have length {g.n}, got shape {q.shape}", code="length-mismatch")
     if not np.all(np.isfinite(q)):
         raise InputError("q contains non-finite entries", code="invalid-rates")
+    return q
+
+
+def generalized_laplacian(g: Graph, q: np.ndarray) -> GeneralizedLaplacian:
+    q = _check_weights(g, q)
     matrix = np.diag(q) - g.adjacency
     return GeneralizedLaplacian(q=q, matrix=matrix)
 
 
 def gerschgorin_intervals(g: Graph, q: np.ndarray) -> np.ndarray:
     """Per-row eigenvalue enclosures [q_i - d_i, q_i + d_i], shape (n, 2)."""
-    q = np.asarray(q, dtype=float)
+    q = _check_weights(g, q)
     d = g.degrees.astype(float)
     return np.column_stack([q - d, q + d])

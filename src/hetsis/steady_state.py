@@ -64,6 +64,18 @@ def surface_side(lam: float) -> int:
     return 1 if lam > 1.0 else -1
 
 
+def _side(r: np.ndarray) -> int:
+    """surface_side(lambda_max(r)) for the symmetric coupling r, without an
+    eigensolve: Cholesky factorizations of (1 + CRITICAL_BAND) I - r, then
+    (1 - CRITICAL_BAND) I - r, which exist exactly when lambda_max(r) is
+    below 1 + CRITICAL_BAND, respectively 1 - CRITICAL_BAND."""
+    # lambda_max(r) < c exactly when -r has every eigenvalue above -c
+    minus_r = -r
+    if not _definite_above(minus_r, -(1.0 + CRITICAL_BAND)):
+        return 1
+    return -1 if _definite_above(minus_r, -(1.0 - CRITICAL_BAND)) else 0
+
+
 @dataclass(frozen=True, eq=False)
 class SteadyState:
     """Converged fixed point, scaled variants, and solver diagnostics.
@@ -194,11 +206,10 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
     if not 0.0 < tol < np.inf:
         raise InputError(f"tol must be positive and finite, got {tol!r}", code="invalid-argument")
     max_iter = _integer(max_iter, "max_iter", 0)
-    # lambda_max(R) < c exactly when -R has every eigenvalue above -c
-    minus_r = -effective_adjacency(g, rates.tau)
-    if _definite_above(minus_r, -(1.0 + CRITICAL_BAND)):
-        if not _definite_above(minus_r, -(1.0 - CRITICAL_BAND)):
-            raise NumericalError("at critical threshold, derivative undefined", code="critical-threshold")
+    side = _side(effective_adjacency(g, rates.tau))
+    if side == 0:
+        raise NumericalError("at critical threshold, derivative undefined", code="critical-threshold")
+    if side < 0:
         zeros = np.zeros(g.n)
         return SteadyState(
             v_inf=zeros,

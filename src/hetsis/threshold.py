@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _integer, _positive_vector, walk_counts
-from .spectral import dominant_eigenpair, effective_adjacency
-from .steady_state import CRITICAL_BAND, surface_side
+from .spectral import _lambda_max, effective_adjacency
+from .steady_state import CRITICAL_BAND, _side
 
 __all__ = [
     "ThresholdReport",
@@ -44,14 +44,19 @@ _REGIMES = {1: "infected", 0: "critical", -1: "not_infected"}
 
 
 def classify(g: Graph, rates: RateConfig) -> ThresholdReport:
-    """Place a rate configuration relative to the critical surface."""
-    lam, _ = dominant_eigenpair(effective_adjacency(g, rates.tau))
+    """Place a rate configuration relative to the critical surface.
+
+    The regime is decided by the same Cholesky test as ``solve``'s; the
+    reported lambda_max(R) is an inertia-certified eigenvalue.
+    """
+    r = effective_adjacency(g, rates.tau)
+    lam, side = _lambda_max(r), _side(r)
     return ThresholdReport(
         lambda_max_R=lam,
-        regime=_REGIMES[surface_side(lam)],
+        regime=_REGIMES[side],
         tau_min=float(rates.tau.min()),
         tau_max=float(rates.tau.max()),
-        bound_ledger=_ledger(g, rates.tau, lam),
+        bound_ledger=_ledger(g, rates.tau, lam, side),
     )
 
 
@@ -60,24 +65,20 @@ def critical_scaling(g: Graph, tau_direction: np.ndarray) -> float:
 
     The spectral radius is linear in a global scaling,
     lambda_max(R(s tau)) = s lambda_max(R(tau)), so s* = 1 / lambda_max(R(tau)).
-    One eigensolve at s* tau confirms that it lands within CRITICAL_BAND
-    of one before the factor is returned.
+    The regime test of ``solve`` on s* R(tau) confirms that it lands within
+    CRITICAL_BAND of one before the factor is returned.
     """
-    tau0 = np.asarray(tau_direction, dtype=float)
-    lam0, _ = dominant_eigenpair(effective_adjacency(g, tau0))
-    s_star = 1.0 / lam0
-    lam, _ = dominant_eigenpair(effective_adjacency(g, s_star * tau0))
-    if surface_side(lam) != 0:
-        raise NumericalError(
-            f"scaled direction misses the critical surface (spectral radius {lam!r})",
-            code="no-convergence",
-        )
+    r = effective_adjacency(g, np.asarray(tau_direction, dtype=float))
+    s_star = 1.0 / _lambda_max(r)
+    if _side(s_star * r) != 0:
+        raise NumericalError(f"scale factor {s_star!r} misses the critical surface", code="no-convergence")
     return s_star
 
 
-def _ledger(g: Graph, tau: np.ndarray, lam: float) -> dict:
+def _ledger(g: Graph, tau: np.ndarray, lam: float, side: int) -> dict:
     """Bound ledger: every entry states lhs <= rhs with both sides computed
-    through routes independent of the eigensolver where possible."""
+    through routes independent of the eigensolver where possible.  The
+    critical entries appear when side, the side of the surface, is 0."""
     d = g.degrees.astype(float)
     n3_total, n3_closed = walk_counts(g)
     lam_adj = g.spectral_radius
@@ -90,7 +91,7 @@ def _ledger(g: Graph, tau: np.ndarray, lam: float) -> dict:
         "degree_walk_lower": (n3_total / float(np.sum(d * d / tau)), lam),
         "closed_walk_lower": (n3_closed / float(np.sum(d / tau)), lam),
     }
-    if surface_side(lam) == 0:
+    if side == 0:
         entries.update(
             {
                 "critical_tau_lower": (tau_min, 1.0 / lam_adj),
@@ -137,7 +138,7 @@ def complete_graph_lambda_max(tau) -> float:
     if g_fn(hi) <= 0.0:
         return hi
     lo = 0.0
-    while hi - lo > _SECULAR_TOL * max(1.0, hi):
+    while hi - lo > _SECULAR_TOL * hi:
         mid = 0.5 * (lo + hi)
         if g_fn(mid) < 0.0:
             lo = mid

@@ -90,6 +90,13 @@ def test_full_spectrum_rejects_asymmetric():
         full_spectrum(m)
 
 
+@pytest.mark.parametrize("solver", [full_spectrum, dominant_eigenpair])
+def test_empty_matrix_is_an_input_error(solver):
+    with pytest.raises(InputError) as info:
+        solver(np.zeros((0, 0)))
+    assert info.value.code == "invalid-matrix"
+
+
 def test_dominant_eigenpair_closed_forms():
     lam, vec = dominant_eigenpair(complete_graph(3).adjacency)
     assert abs(lam - 2.0) < 1e-12
@@ -173,6 +180,18 @@ def test_gerschgorin_intervals_cover_spectrum():
     lam = full_spectrum(generalized_laplacian(g, q).matrix).eigenvalues
     assert lam.min() >= intervals[:, 0].min() - 1e-12
     assert lam.max() <= intervals[:, 1].max() + 1e-12
+
+
+@pytest.mark.parametrize("build", [generalized_laplacian, gerschgorin_intervals])
+@pytest.mark.parametrize(
+    "q, code",
+    [(1.5, "length-mismatch"), (np.ones(4), "length-mismatch"), (np.array([1.0, np.nan, 1.0]), "invalid-rates")],
+)
+def test_node_weights_checked_by_one_rule(build, q, code):
+    # a scalar is not broadcast and a NaN weight gives no NaN enclosure
+    with pytest.raises(InputError) as info:
+        build(path_graph(3), q)
+    assert info.value.code == code
 
 
 def test_dominant_eigenpair_rejects_reducible_input():

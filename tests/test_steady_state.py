@@ -11,6 +11,7 @@ from hetsis import (
     NumericalError,
     RateConfig,
     bounds,
+    classify,
     effective_adjacency,
     solve,
     surface_side,
@@ -18,7 +19,7 @@ from hetsis import (
     uniqueness_probe,
     verify_identities,
 )
-from hetsis import steady_state
+from hetsis import steady_state, threshold
 
 from conftest import (
     complete_graph,
@@ -359,20 +360,26 @@ def test_regime_by_cholesky_agrees_with_eigvalsh(monkeypatch):
     assert set(expected) == {-1, 0, 1}
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("solve ran an eigensolver")
+        raise AssertionError("an eigensolver ran")
 
     assert not hasattr(steady_state, "dominant_eigenpair")
+    assert not hasattr(threshold, "dominant_eigenpair")
     monkeypatch.setattr(hetsis.spectral, "dominant_eigenpair", forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    disagreements = 0
-    for (g, r), side in zip(cases, expected):
+    found = []
+    for g, r in cases:
         try:
-            found = -1 if solve(g, r, max_iter=0).regime == "extinct" else 1
+            found.append(-1 if solve(g, r, max_iter=0).regime == "extinct" else 1)
         except NumericalError as exc:
-            found = {"critical-threshold": 0, "no-convergence": 1}[exc.code]
-        disagreements += found != side
-    assert disagreements == 0
+            found.append({"critical-threshold": 0, "no-convergence": 1}[exc.code])
+    assert sum(side != expected_side for side, expected_side in zip(found, expected)) == 0
+    # classify reads lambda_max from eigvalsh but decides the regime by solve's test
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    sides = {"infected": 1, "critical": 0, "not_infected": -1}
+    classified = [sides[classify(g, r).regime] for g, r in cases]
+    assert sum(side != solved for side, solved in zip(classified, found)) == 0
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])

@@ -76,19 +76,36 @@ def test_critical_scaling_random_graph_against_lapack():
     assert abs(s - 1.0 / eigvalsh_lambda_max(g.adjacency)) < 1e-8
 
 
+def _count_eigensolves(monkeypatch) -> dict:
+    """Count calls of numpy.linalg.eigvalsh and eigh from here on."""
+    calls = {"eigvalsh": 0, "eigh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 def test_critical_scaling_uses_one_eigensolve_plus_check(monkeypatch):
-    import hetsis.threshold
-
-    calls = []
-
-    def counting(m):
-        calls.append(m.shape)
-        return dominant_eigenpair(m)
-
-    monkeypatch.setattr(hetsis.threshold, "dominant_eigenpair", counting)
     g = random_connected_graph(30, np.random.default_rng(8))
+    calls = _count_eigensolves(monkeypatch)
     critical_scaling(g, np.random.default_rng(9).uniform(0.2, 3.0, g.n))
-    assert len(calls) == 2
+    assert calls == {"eigvalsh": 1, "eigh": 0}
+
+
+def test_classify_raises_when_the_eigenvalue_fails_its_certificate(monkeypatch):
+    # an eigenvalue 1e-8 too large lies outside the 1e-10 inertia bracket
+    g = random_connected_graph(12, np.random.default_rng(3))
+    r = RateConfig.from_tau(g, np.random.default_rng(4).uniform(0.2, 1.0, g.n))
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: original(m) * (1.0 + 1e-8))
+    with pytest.raises(NumericalError) as info:
+        classify(g, r)
+    assert info.value.code == "no-convergence"
 
 
 @settings(max_examples=20, deadline=None)
@@ -183,16 +200,21 @@ def test_complete_solver_two_nodes_geometric_mean():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6))
-def test_complete_solver_matches_dense_eigensolver(n, seed):
-    tau = np.random.default_rng(seed).uniform(0.1, 4.0, n)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1e-6, 1e-4, 1e-2, 1.0]),
+)
+def test_complete_solver_matches_dense_eigensolver(n, seed, scale):
+    # the bisection width is relative, so the match holds at every time unit
+    tau = scale * np.random.default_rng(seed).uniform(0.1, 4.0, n)
     lam = complete_graph_lambda_max(tau)
     g = complete_graph(n)
     root = np.sqrt(tau)
     dense = eigvalsh_lambda_max(root[:, None] * g.adjacency * root[None, :])
-    assert abs(lam - dense) < 1e-8
+    assert abs(lam - dense) <= 1e-10 * dense
     # first convergent of the continued fraction is a lower bound
-    assert (n - 1) / np.sum(1.0 / tau) <= lam + 1e-12
+    assert (n - 1) / np.sum(1.0 / tau) <= lam * (1.0 + 1e-12)
 
 
 def test_complete_spectrum_interlacing():
