@@ -46,7 +46,11 @@ class Graph:
         if not edges:
             raise InputError("empty edge list", code="parse-error")
         seen: set[tuple[int, int]] = set()
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InputError(f"edge {edge!r} is not a (u, v) pair", code="parse-error") from None
             u, v = _integer(u, "node id"), _integer(v, "node id")
             if u < 0 or v < 0:
                 raise InputError(f"negative node id in edge ({u}, {v})", code="parse-error")
@@ -146,9 +150,17 @@ def walk_counts(g: Graph) -> tuple[float, float]:
     return g._walk_counts
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """value as a float array; anything non-numeric raises ``invalid-rates``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be numeric, got {value!r}", code="invalid-rates") from None
+
+
 def _positive_vector(value, n: int, name: str) -> np.ndarray:
-    """The rate-vector rule: length n, every entry finite and strictly positive."""
-    arr = np.asarray(value, dtype=float)
+    """The rate-vector rule: numeric, length n, every entry finite and strictly positive."""
+    arr = _floats(value, name)
     if arr.shape != (n,):
         raise InputError(f"{name} must have length {n}, got shape {arr.shape}", code="length-mismatch")
     if not np.all(np.isfinite(arr)):
@@ -180,7 +192,7 @@ def _node(g: Graph, i) -> int:
 
 def _as_rate_vector(value, n: int, name: str) -> np.ndarray:
     """A rate vector, a scalar broadcasting to every node."""
-    arr = np.asarray(value, dtype=float)
+    arr = _floats(value, name)
     return _positive_vector(np.full(n, float(arr)) if arr.ndim == 0 else arr, n, name)
 
 

@@ -86,6 +86,14 @@ def build_exact_chain(g: Graph, rates: RateConfig) -> ExactChain:
     return ExactChain(n=n, generator=generator, uniformization_rate=1.1 * float(outflow.max()))
 
 
+def _state_vector(chain: ExactChain, p, name: str) -> np.ndarray:
+    """p as a float vector over the 2^n states of the chain."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (1 << chain.n,):
+        raise InputError(f"{name} must have length {1 << chain.n}, got shape {p.shape}", code="length-mismatch")
+    return p
+
+
 def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.ndarray:
     """State distribution p0 exp(G t), by uniformization.
 
@@ -93,11 +101,8 @@ def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.nd
     the remaining tail mass is below 1e-12; weights are evaluated in the
     log domain so long horizons do not underflow.
     """
-    size = 1 << chain.n
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (size,):
-        raise InputError(f"p0 must have length {size}", code="length-mismatch")
-    if np.any(p0 < 0) or abs(float(p0.sum()) - 1.0) > 1e-12:
+    p0 = _state_vector(chain, p0, "p0")
+    if not (np.all(p0 >= 0) and abs(float(p0.sum()) - 1.0) <= 1e-12):  # so a NaN entry fails it
         raise InputError("p0 must be a probability distribution", code="invalid-distribution")
     if not np.isfinite(t) or t < 0:
         raise InputError("t must be non-negative and finite", code="invalid-argument")
@@ -108,7 +113,7 @@ def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.nd
         return p0.copy()
 
     log_mu = math.log(mu)
-    result = np.zeros(size)
+    result = np.zeros(p0.size)
     x = p0.copy()
     cumulative = 0.0
     k = 0
@@ -125,20 +130,18 @@ def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.nd
 
 def marginals(chain: ExactChain, p: np.ndarray) -> np.ndarray:
     """Per-node infection probabilities sum_{s: i in s} p_s."""
-    p = np.asarray(p, dtype=float)
+    p = _state_vector(chain, p, "p")
     # bit i of the state index is set exactly in the upper half of each block of 2^(i+1)
     return np.array([p.reshape(-1, 2, 1 << i)[:, 1].sum() for i in range(chain.n)])
 
 
 def conditional_marginals(chain: ExactChain, p: np.ndarray) -> np.ndarray:
     """Marginals conditioned on not being absorbed (state 0 excluded)."""
-    p = np.asarray(p, dtype=float)
+    p = _state_vector(chain, p, "p")
     alive = 1.0 - p[0]
     if alive <= 0.0:
         raise NumericalError("no probability mass outside the absorbing state", code="no-surviving-replicas")
-    q = p.copy()
-    q[0] = 0.0
-    return marginals(chain, q) / alive
+    return marginals(chain, p) / alive  # state 0 enters no marginal
 
 
 @dataclass(frozen=True, eq=False)

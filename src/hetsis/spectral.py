@@ -1,13 +1,13 @@
 """Symmetric eigenproblems and threshold-related matrices.
 
-Full spectra and dominant eigenpairs both come from LAPACK through
-``numpy.linalg.eigh``, which computes every eigenpair of a symmetric
-matrix directly, so the +/-lambda_max pairs of bipartite graphs (stars,
-paths, grids) need no special handling.  Each result is checked before
-it is returned: the eigen-residual, and for the dominant pair the
-simplicity of the Perron root and the strict positivity of its vector.
-Callers that read only the largest eigenvalue take it from
-``numpy.linalg.eigvalsh`` and certify it by inertia (Cholesky) instead.
+The dominant eigenpair comes from LAPACK through ``numpy.linalg.eigh``,
+which computes every eigenpair of a symmetric matrix directly, so the
++/-lambda_max pairs of bipartite graphs (stars, paths, grids) need no
+special handling.  The pair is checked before it is returned: the
+eigen-residual, the simplicity of the Perron root and the strict
+positivity of its vector.  Callers that read only the largest eigenvalue
+take it from ``numpy.linalg.eigvalsh`` and certify it by inertia
+(Cholesky) instead; both routes apply the same simplicity rule.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, _positive_vector
+from .graphs import Graph, _floats, _positive_vector
 
 __all__ = [
-    "Spectrum",
     "GeneralizedLaplacian",
-    "full_spectrum",
     "dominant_eigenpair",
     "effective_adjacency",
     "generalized_laplacian",
@@ -43,35 +41,20 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues in ascending order, orthonormal eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = field(repr=False)
-    residual: float
-
-
-def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigen(linalg_op, m: np.ndarray) -> np.ndarray:
+    """Run a numpy.linalg eigensolver, a failure to converge raising ``no-convergence``."""
     try:
-        return np.linalg.eigh(m)
+        return linalg_op(m)
     except np.linalg.LinAlgError:
         raise NumericalError("symmetric eigensolver did not converge", code="no-convergence") from None
 
 
-def full_spectrum(m: np.ndarray) -> Spectrum:
-    """Diagonalize a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
-
-    The returned residual is max_k ||m x_k - lambda_k x_k||_inf over all
-    eigenpairs, and must not exceed 1e-10 times the largest entry.
-    """
-    m = _check_symmetric(m)
-    eigenvalues, v = _eigh(m)
-    scale = max(1.0, float(np.abs(m).max()))
-    residual = float(np.abs(m @ v - v * eigenvalues[None, :]).max())
-    if residual > 1e-10 * scale:
-        raise NumericalError(f"eigen-residual {residual:.3e} exceeds tolerance", code="no-convergence")
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=v, residual=residual)
+def _check_simple(eigenvalues: np.ndarray) -> None:
+    """The Perron-simplicity rule: lambda_max must exceed the next eigenvalue by more
+    than 1e-10 max(1, lambda_max), else ``reducible-matrix``; a single eigenvalue is simple."""
+    lam = float(eigenvalues[-1])
+    if eigenvalues.size > 1 and lam - float(eigenvalues[-2]) <= 1e-10 * max(1.0, lam):
+        raise NumericalError("dominant eigenvalue is not simple; matrix is reducible", code="reducible-matrix")
 
 
 def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -88,15 +71,14 @@ def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     row_max = float(m.sum(axis=1).max())
     if row_max == 0.0:
         raise InputError("matrix is identically zero", code="invalid-matrix")
-    eigenvalues, vectors = _eigh(m)
+    eigenvalues, vectors = _eigen(np.linalg.eigh, m)
     lam, x = float(eigenvalues[-1]), vectors[:, -1]
     if x[0] < 0:
         x = -x
     resid = float(np.abs(m @ x - lam * x).max())
     if resid > 1e-11 * max(1.0, row_max):
         raise NumericalError(f"eigen-residual {resid:.3e} exceeds tolerance", code="no-convergence")
-    if lam - float(eigenvalues[-2]) <= 1e-10 * max(1.0, lam):
-        raise NumericalError("dominant eigenvalue is not simple; matrix is reducible", code="reducible-matrix")
+    _check_simple(eigenvalues)
     if x.min() <= 0:
         raise NumericalError("dominant eigenvector is not strictly positive", code="no-convergence")
     return lam, x
@@ -120,19 +102,15 @@ def _lambda_max(m: np.ndarray) -> float:
     if two Cholesky attempts certify that the true lambda_max lies in
     [lam (1 - 1e-10), lam (1 + 1e-10)), raising ``no-convergence``
     otherwise, and if it is simple, raising ``reducible-matrix`` otherwise,
-    as ``dominant_eigenpair`` does.  m must have at least two rows.
+    as ``dominant_eigenpair`` does.
     """
-    try:
-        eigenvalues = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError:
-        raise NumericalError("symmetric eigensolver did not converge", code="no-convergence") from None
+    eigenvalues = _eigen(np.linalg.eigvalsh, m)
     lam = float(eigenvalues[-1])
     # lambda_max < c exactly when -m has every eigenvalue above -c
     minus_m, width = -m, 1e-10 * abs(lam)
     if not _definite_above(minus_m, -(lam + width)) or _definite_above(minus_m, -(lam - width)):
         raise NumericalError(f"eigenvalue {lam!r} fails its inertia certificate", code="no-convergence")
-    if lam - float(eigenvalues[-2]) <= 1e-10 * max(1.0, lam):
-        raise NumericalError("dominant eigenvalue is not simple; matrix is reducible", code="reducible-matrix")
+    _check_simple(eigenvalues)
     return lam
 
 
@@ -156,7 +134,7 @@ class GeneralizedLaplacian:
 
 def _check_weights(g: Graph, q) -> np.ndarray:
     """The node-weight rule: a vector of length n with every entry finite."""
-    q = np.asarray(q, dtype=float)
+    q = _floats(q, "q")
     if q.shape != (g.n,):
         raise InputError(f"q must have length {g.n}, got shape {q.shape}", code="length-mismatch")
     if not np.all(np.isfinite(q)):

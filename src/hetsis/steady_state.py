@@ -1,7 +1,7 @@
 """Metastable steady states of the heterogeneous mean-field SIS model.
 
 Above the critical surface the model has a unique non-trivial fixed
-point, the largest root of
+point (Lajmanovich & Yorke 1976), the largest root of
 
     F(v)_i = sum_j a_ij beta_j v_j - delta_i v_i / (1 - v_i).
 
@@ -42,33 +42,22 @@ __all__ = [
     "truncated_iterate",
     "verify_identities",
     "bounds",
-    "uniqueness_probe",
-    "surface_side",
     "CRITICAL_BAND",
 ]
 
 CRITICAL_BAND = 1e-9
-_TOL = 1e-10  # solve's default tolerance and iteration cap, also the uniqueness probe's
+_TOL = 1e-10  # solve's default tolerance and iteration cap
 _MAX_ITER = 10**6
 _NEWTON_AFTER = 200  # predicted map steps beyond which solve takes Newton steps; one costs ~35 map steps at n = 200
 _IDENTITY_TOL = 1e-7
-_PROBE_STARTS = 10
-_PROBE_SEED = 0
-
-
-def surface_side(lam: float) -> int:
-    """Side of the critical surface for spectral radius lam of R: +1 above
-    (endemic), -1 below (extinct), 0 within CRITICAL_BAND of one."""
-    if abs(lam - 1.0) <= CRITICAL_BAND:
-        return 0
-    return 1 if lam > 1.0 else -1
 
 
 def _side(r: np.ndarray) -> int:
-    """surface_side(lambda_max(r)) for the symmetric coupling r, without an
-    eigensolve: Cholesky factorizations of (1 + CRITICAL_BAND) I - r, then
-    (1 - CRITICAL_BAND) I - r, which exist exactly when lambda_max(r) is
-    below 1 + CRITICAL_BAND, respectively 1 - CRITICAL_BAND."""
+    """Side of the critical surface for the symmetric coupling r: +1 (endemic)
+    when lambda_max(r) >= 1 + CRITICAL_BAND, -1 (extinct) when it is below
+    1 - CRITICAL_BAND, 0 (on the surface) in between.  No eigensolve: (1 +/-
+    CRITICAL_BAND) I - r has a Cholesky factorization exactly when
+    lambda_max(r) is below 1 +/- CRITICAL_BAND."""
     # lambda_max(r) < c exactly when -r has every eigenvalue above -c
     minus_r = -r
     if not _definite_above(minus_r, -(1.0 + CRITICAL_BAND)):
@@ -119,16 +108,16 @@ def _no_convergence(tol: float, k: int, residual: float, stalled: bool) -> Numer
     )
 
 
-def _iterate(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: int, patience: float = np.inf):
-    """Map iterates from v until the residual meets tol: (v, steps, residual, converged).
+def _iterate(g: Graph, rates: RateConfig, tol: float, max_iter: int):
+    """Map iterates from _upper_start until the residual meets tol: (v, steps, residual, converged).
 
     Returns unconverged once the contraction observed over the last two
-    steps predicts more than ``patience`` further steps.
+    steps predicts more than _NEWTON_AFTER further steps.
     """
     delta = rates.delta
     scale = float(delta.max())
     previous = last = earlier = None
-    for k, (v, pressure) in enumerate(_orbit(g, rates, v)):
+    for k, (v, pressure) in enumerate(_orbit(g, rates, _upper_start(rates))):
         residual = float(np.abs(pressure - v * delta / (1.0 - v)).max()) / scale
         if residual <= tol:
             return v, k, residual, True
@@ -139,7 +128,7 @@ def _iterate(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: i
         # at the contraction rho = sqrt(residual/earlier) of the last two steps (the
         # residual may alternate), log(tol/residual) / log(rho) more steps are due
         if earlier is not None and residual < earlier:
-            if 2.0 * np.log(tol / residual) < patience * np.log(residual / earlier):
+            if 2.0 * np.log(tol / residual) < _NEWTON_AFTER * np.log(residual / earlier):
                 return v, k, residual, False
         previous, earlier, last = v, last, residual
 
@@ -221,7 +210,7 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
             y_inf=0.0,
             path="extinct",
         )
-    v, iterations, residual, converged = _iterate(g, rates, _upper_start(rates), tol, max_iter, _NEWTON_AFTER)
+    v, iterations, residual, converged = _iterate(g, rates, tol, max_iter)
     if not converged:
         v, iterations, residual = _newton_finish(g, rates, v, iterations, tol, max_iter)
     v_tilde = rates.beta * v
@@ -330,25 +319,3 @@ def bounds(g: Graph, rates: RateConfig, ss: SteadyState) -> BoundsReport:
         informative=informative,
         satisfied=satisfied,
     )
-
-
-def uniqueness_probe(g: Graph, rates: RateConfig) -> tuple[bool, float]:
-    """Diagnostic: iterate from 10 seeded random interior starts, report the spread.
-
-    Returns (consistent, max_spread) where consistent means every start
-    landed within 1e-6 of the reference fixed point ``solve`` returns.
-    The model is conjectured to have a single non-trivial fixed point;
-    this probes it without asserting.  The starts iterate the map alone:
-    a random interior start need not have F(v) <= 0, so the monotone
-    Newton finish of ``solve`` does not apply to it.
-    """
-    reference = solve(g, rates)
-    if reference.regime != "endemic":
-        return True, 0.0
-    rng = np.random.Generator(np.random.Philox(key=_PROBE_SEED))
-    spread = 0.0
-    for _ in range(_PROBE_STARTS):
-        v0 = rng.uniform(0.05, 0.95, size=g.n)
-        v, _, _, _ = _iterate(g, rates, v0, _TOL, _MAX_ITER)
-        spread = max(spread, float(np.abs(v - reference.v_inf).max()))
-    return spread <= 1e-6, spread

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig, _integer, _positive_vector, walk_counts
+from .graphs import Graph, RateConfig, _floats, _integer, _positive_vector, walk_counts
 from .spectral import _lambda_max, effective_adjacency
 from .steady_state import CRITICAL_BAND, _side
 
@@ -22,7 +22,6 @@ __all__ = [
     "ThresholdReport",
     "classify",
     "critical_scaling",
-    "verify_bounds",
     "complete_graph_lambda_max",
     "complete_graph_critical_sum",
     "critical_perturbation",
@@ -68,7 +67,7 @@ def critical_scaling(g: Graph, tau_direction: np.ndarray) -> float:
     The regime test of ``solve`` on s* R(tau) confirms that it lands within
     CRITICAL_BAND of one before the factor is returned.
     """
-    r = effective_adjacency(g, np.asarray(tau_direction, dtype=float))
+    r = effective_adjacency(g, tau_direction)
     s_star = 1.0 / _lambda_max(r)
     if _side(s_star * r) != 0:
         raise NumericalError(f"scale factor {s_star!r} misses the critical surface", code="no-convergence")
@@ -108,13 +107,8 @@ def _ledger(g: Graph, tau: np.ndarray, lam: float, side: int) -> dict:
     return ledger
 
 
-def verify_bounds(g: Graph, rates: RateConfig) -> dict:
-    """Standalone bound ledger for a rate configuration."""
-    return classify(g, rates).bound_ledger
-
-
 def _check_tau_vector(tau) -> np.ndarray:
-    tau = np.asarray(tau, dtype=float)
+    tau = _floats(tau, "tau")
     if tau.ndim != 1 or tau.size < 2:
         raise InputError("tau must be a vector with at least two entries", code="length-mismatch")
     return _positive_vector(tau, tau.size, "tau")

@@ -104,6 +104,15 @@ def test_rates_file_reaches_solver(capsys, path3_file, tmp_path):
     assert json.loads(out)["regime"] == "endemic"
 
 
+@pytest.mark.parametrize("beta", ['{"a": 1}', '"x"'])
+def test_non_numeric_rates_file_exits_2(capsys, path3_file, tmp_path, beta):
+    rates = tmp_path / "rates.json"
+    rates.write_text(f'{{"beta": {beta}, "delta": 1}}')
+    code, out = run_cli(capsys, ["steady", "--graph", path3_file, "--rates", str(rates)])
+    assert code == 2
+    assert json.loads(out)["error"] == "invalid-rates"
+
+
 def test_dynamics_csv_shape(capsys, triangle_file):
     argv = [
         "dynamics", "--graph", triangle_file, "--beta", "2.0", "--delta", "1.0",

@@ -50,6 +50,13 @@ def test_from_edges_rejects_malformed(edges, fragment):
         Graph.from_edges(edges)
 
 
+@pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5])
+def test_from_edges_refuses_an_edge_that_is_not_a_pair(edge):
+    with pytest.raises(InputError, match="pair") as info:
+        Graph.from_edges([(0, 1), edge])
+    assert info.value.code == "parse-error"
+
+
 @pytest.mark.parametrize("edges, n", [([(0, 1.7), (1, 2.2), (2, 0)], None), ([(0, 1), (1, 2)], 2.5)])
 def test_from_edges_refuses_non_integer_ids_and_size(edges, n):
     # int() would truncate 1.7 and 2.2 and build a triangle
@@ -132,6 +139,18 @@ def test_rate_config_requires_positive_finite(bad):
         RateConfig.for_graph(g, bad, 1.0)
     with pytest.raises(InputError):
         RateConfig.for_graph(g, 1.0, [1.0, bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [{"a": 1}, "x", [1.0, "y", 1.0], [[1.0], [1.0, 2.0], [1.0]]])
+def test_rate_config_refuses_non_numeric_rates(bad):
+    g = path_graph(3)
+    for beta, delta in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(InputError) as info:
+            RateConfig.for_graph(g, beta, delta)
+        assert info.value.code == "invalid-rates"
+    with pytest.raises(InputError) as info:
+        RateConfig.from_tau(g, bad)
+    assert info.value.code == "invalid-rates"
 
 
 def test_rate_config_rejects_length_mismatch():

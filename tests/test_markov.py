@@ -164,6 +164,27 @@ def test_conditional_marginals_require_surviving_mass():
         conditional_marginals(chain, p)
 
 
+def test_state_vectors_must_cover_every_state():
+    # unchecked, a length-16 vector with its mass at index 8 reads as [0, 0, 0] on a 3-node chain
+    g = path_graph(3)
+    chain = build_exact_chain(g, RateConfig.from_tau(g, 1.0))
+    for size in (16, 5):
+        p = np.zeros(size)
+        p[8 % size] = 1.0
+        for reader in (marginals, conditional_marginals):
+            with pytest.raises(InputError) as info:
+                reader(chain, p)
+            assert info.value.code == "length-mismatch"
+
+
+def test_transient_refuses_a_nan_distribution():
+    g = path_graph(2)
+    chain = build_exact_chain(g, RateConfig.from_tau(g, 1.0))
+    with pytest.raises(InputError) as info:
+        transient_distribution(chain, np.array([0.5, np.nan, 0.5, 0.0]), 1.0)
+    assert info.value.code == "invalid-distribution"
+
+
 def test_transient_argument_validation():
     g = path_graph(2)
     chain = build_exact_chain(g, RateConfig.from_tau(g, 1.0))

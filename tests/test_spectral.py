@@ -1,6 +1,7 @@
 """Dense symmetric eigensolvers and graph-derived matrices.
 
-Closed-form spectra used as oracles:
+numpy.linalg.eigvalsh is the full-spectrum oracle.  Closed-form spectra,
+whose largest eigenvalues check dominant_eigenpair:
   triangle       eigenvalues (-1, -1, 2)
   star on 4      eigenvalues (-sqrt(3), 0, 0, sqrt(3)), from lambda^2 (lambda^2 - 3)
   path on 4      roots of lambda^4 - 3 lambda^2 + 1, i.e. +-phi and +-1/phi
@@ -15,7 +16,6 @@ from hetsis import (
     NumericalError,
     dominant_eigenpair,
     effective_adjacency,
-    full_spectrum,
     generalized_laplacian,
     gerschgorin_intervals,
 )
@@ -31,70 +31,24 @@ from conftest import (
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
 
-def random_symmetric(n: int, seed: int) -> np.ndarray:
-    m = np.random.default_rng(seed).normal(size=(n, n))
-    return m + m.T
-
-
-def test_full_spectrum_triangle():
-    spec = full_spectrum(complete_graph(3).adjacency)
-    assert np.allclose(spec.eigenvalues, [-1.0, -1.0, 2.0], atol=1e-12)
-
-
-def test_full_spectrum_star4():
-    spec = full_spectrum(star_graph(4).adjacency)
-    root = np.sqrt(3.0)
-    assert np.allclose(spec.eigenvalues, [-root, 0.0, 0.0, root], atol=1e-12)
-
-
-def test_full_spectrum_path4():
-    spec = full_spectrum(path_graph(4).adjacency)
-    expect = [-PHI, -1.0 / PHI, 1.0 / PHI, PHI]
-    assert np.allclose(spec.eigenvalues, expect, atol=1e-12)
-
-
-def test_full_spectrum_orthonormal_reconstruction():
-    m = random_symmetric(8, seed=5)
-    spec = full_spectrum(m)
-    q, lam = spec.eigenvectors, spec.eigenvalues
-    scale = np.abs(m).max()
-    assert np.abs(q.T @ q - np.eye(8)).max() < 1e-12
-    assert np.abs(q @ np.diag(lam) @ q.T - m).max() < 1e-10 * scale
-    assert spec.residual < 1e-10 * scale
-
-
-def test_full_spectrum_sorted_ascending():
-    spec = full_spectrum(random_symmetric(10, seed=11))
-    assert np.all(np.diff(spec.eigenvalues) >= 0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10**6))
-def test_full_spectrum_matches_lapack(n, seed):
-    m = random_symmetric(n, seed)
-    scale = max(1.0, np.abs(m).max())
-    mine = full_spectrum(m).eigenvalues
-    assert np.abs(mine - np.linalg.eigvalsh(m)).max() < 1e-8 * scale
-
-
-def test_full_spectrum_trace_identities():
-    m = random_symmetric(9, seed=3)
-    lam = full_spectrum(m).eigenvalues
-    assert abs(lam.sum() - np.trace(m)) < 1e-10 * max(1.0, abs(np.trace(m)))
-    assert abs((lam**2).sum() - np.sum(m * m)) < 1e-9 * np.sum(m * m)
-
-
-def test_full_spectrum_rejects_asymmetric():
+def test_dominant_eigenpair_rejects_asymmetric():
     m = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(InputError, match="symmetric"):
-        full_spectrum(m)
+        dominant_eigenpair(m)
 
 
-@pytest.mark.parametrize("solver", [full_spectrum, dominant_eigenpair])
+@pytest.mark.parametrize("solver", [dominant_eigenpair])
 def test_empty_matrix_is_an_input_error(solver):
     with pytest.raises(InputError) as info:
         solver(np.zeros((0, 0)))
     assert info.value.code == "invalid-matrix"
+
+
+def test_dominant_eigenpair_of_a_single_entry():
+    # one eigenvalue is simple; there is no second one to compare with
+    lam, vec = dominant_eigenpair(np.array([[2.0]]))
+    assert lam == 2.0
+    assert np.array_equal(vec, [1.0])
 
 
 def test_dominant_eigenpair_closed_forms():
@@ -155,9 +109,9 @@ def test_effective_adjacency_scale_linearity(n, seed, c):
 def test_generalized_laplacian_classical_case():
     g = random_connected_graph(10, np.random.default_rng(7))
     q = generalized_laplacian(g, g.degrees.astype(float))
-    spec = full_spectrum(q.matrix)
-    assert abs(spec.eigenvalues[0]) < 1e-10
-    assert spec.eigenvalues[1] > 1e-10
+    lam = np.linalg.eigvalsh(q.matrix)
+    assert abs(lam[0]) < 1e-10
+    assert lam[1] > 1e-10
     ones = np.ones(g.n)
     assert np.abs(q.matrix @ ones).max() < 1e-12
 
@@ -167,8 +121,7 @@ def test_generalized_laplacian_loading_shift_gives_definiteness():
     g = random_connected_graph(8, np.random.default_rng(3))
     base = g.degrees.astype(float)
     bump = np.random.default_rng(4).uniform(0.05, 0.5, g.n)
-    spec = full_spectrum(generalized_laplacian(g, base + bump).matrix)
-    assert spec.eigenvalues[0] > 1e-10
+    assert np.linalg.eigvalsh(generalized_laplacian(g, base + bump).matrix)[0] > 1e-10
 
 
 def test_gerschgorin_intervals_cover_spectrum():
@@ -177,7 +130,7 @@ def test_gerschgorin_intervals_cover_spectrum():
     intervals = gerschgorin_intervals(g, q)
     assert np.allclose(intervals[:, 0], q - g.degrees)
     assert np.allclose(intervals[:, 1], q + g.degrees)
-    lam = full_spectrum(generalized_laplacian(g, q).matrix).eigenvalues
+    lam = np.linalg.eigvalsh(generalized_laplacian(g, q).matrix)
     assert lam.min() >= intervals[:, 0].min() - 1e-12
     assert lam.max() <= intervals[:, 1].max() + 1e-12
 

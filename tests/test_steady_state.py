@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import hetsis
 from hetsis import (
+    CRITICAL_BAND,
     Graph,
     InputError,
     NumericalError,
@@ -14,9 +15,7 @@ from hetsis import (
     classify,
     effective_adjacency,
     solve,
-    surface_side,
     truncated_iterate,
-    uniqueness_probe,
     verify_identities,
 )
 from hetsis import steady_state, threshold
@@ -277,10 +276,20 @@ def test_bounds_vacuous_when_ratio_not_above_one():
 
 
 def test_uniqueness_probe():
+    # the endemic state is unique and globally stable (Lajmanovich & Yorke
+    # 1976): the map lands on solve's fixed point from any interior start
     g = complete_graph(5)
-    consistent, spread = uniqueness_probe(g, homogeneous_rates(g, 1.0))
-    assert consistent
-    assert spread <= 1e-6
+    r = homogeneous_rates(g, 1.0)
+    reference = solve(g, r).v_inf
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        v = rng.uniform(0.05, 0.95, g.n)
+        for _ in range(10_000):
+            pressure = g.adjacency @ (r.beta * v)
+            v, previous = pressure / (r.delta + pressure), v
+            if np.array_equal(v, previous):
+                break
+        assert np.abs(v - reference).max() <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -356,7 +365,8 @@ def test_regime_by_cholesky_agrees_with_eigvalsh(monkeypatch):
     # offsets from +-0.5 down to +-5e-10 cross both edges of the dead band;
     # max_iter=0 stops an endemic solve right after the regime decision
     cases = list(_regime_cases())
-    expected = [surface_side(float(np.linalg.eigvalsh(effective_adjacency(g, r.tau))[-1])) for g, r in cases]
+    lams = [float(np.linalg.eigvalsh(effective_adjacency(g, r.tau))[-1]) for g, r in cases]
+    expected = [0 if abs(lam - 1.0) <= CRITICAL_BAND else 1 if lam > 1.0 else -1 for lam in lams]
     assert set(expected) == {-1, 0, 1}
 
     def forbidden(*args, **kwargs):

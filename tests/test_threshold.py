@@ -16,7 +16,6 @@ from hetsis import (
     dominant_eigenpair,
     effective_adjacency,
     solve,
-    verify_bounds,
 )
 
 from conftest import (
@@ -139,7 +138,7 @@ def test_bound_ledger_satisfied_on_random_configs(n, seed):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(n, rng)
     r = RateConfig.for_graph(g, rng.uniform(0.2, 2.0, n), rng.uniform(0.5, 2.0, n))
-    ledger = verify_bounds(g, r)
+    ledger = classify(g, r).bound_ledger
     assert all(entry["satisfied"] for entry in ledger.values())
     for name in ("spectral_lower", "spectral_upper", "harmonic_walk_lower",
                  "degree_walk_lower", "closed_walk_lower"):
@@ -149,7 +148,7 @@ def test_bound_ledger_satisfied_on_random_configs(n, seed):
 def test_bound_ledger_critical_entries_regular_equalities():
     # triangle at inverse-degree loading: walk bounds collapse to equalities
     g = complete_graph(3)
-    ledger = verify_bounds(g, RateConfig.from_tau(g, 0.5))
+    ledger = classify(g, RateConfig.from_tau(g, 0.5)).bound_ledger
     entry = ledger["critical_degree_walk"]
     assert entry["satisfied"]
     assert entry["lhs"] == 24.0 and abs(entry["rhs"] - 24.0) < 1e-9
@@ -162,7 +161,7 @@ def test_bound_ledger_critical_entries_regular_equalities():
 
 def test_bound_ledger_critical_entries_absent_off_surface():
     g = complete_graph(3)
-    ledger = verify_bounds(g, RateConfig.from_tau(g, 0.8))
+    ledger = classify(g, RateConfig.from_tau(g, 0.8)).bound_ledger
     assert "critical_degree_walk" not in ledger
     assert "critical_tau_lower" not in ledger
 
@@ -295,3 +294,11 @@ def test_perturbation_size_must_be_an_integer():
     with pytest.raises(InputError) as info:
         critical_perturbation(0.1, 2.5)
     assert info.value.code == "invalid-argument"
+
+
+@pytest.mark.parametrize("tau", ["x", [1.0, {"a": 1}]])
+def test_complete_graph_solver_refuses_non_numeric_tau(tau):
+    for solver in (complete_graph_lambda_max, complete_graph_critical_sum):
+        with pytest.raises(InputError) as info:
+            solver(tau)
+        assert info.value.code == "invalid-rates"
