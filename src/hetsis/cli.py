@@ -153,7 +153,6 @@ def _cmd_sensitivity(args) -> str:
     rates = _resolve_rates(g, args, allow_bare_tau=True)
     ss = steady_state.solve(g, rates, tol=sensitivity._SOLVE_TOL)
     report = sensitivity.full_report(g, rates, ss)
-    ledger = sensitivity.inverse_checks(g, rates, ss)
     doc = {
         "d1": report.d1,
         "d2": report.d2,
@@ -161,7 +160,7 @@ def _cmd_sensitivity(args) -> str:
         "d2_tied": report.d2_tied,
         "m_matrix": report.m_matrix,
         "convexity": report.convexity,
-        "inverse_ledger": ledger,
+        "inverse_ledger": sensitivity._ledger(g, rates, ss.v_inf, report.s_inverse),
     }
     return _fmt(doc)
 

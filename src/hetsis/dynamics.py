@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig, _integer
+from .graphs import Graph, RateConfig, _floats, _integer, _real
 
 __all__ = ["Trajectory", "mean_field_rhs", "default_step", "integrate"]
 
@@ -59,7 +59,7 @@ class Trajectory:
 
 
 def _check_state(v: np.ndarray, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+    v = _floats(v, "state", code="state-out-of-range")
     if v.shape != (n,):
         raise InputError(f"state must have length {n}", code="length-mismatch")
     if not np.all(np.isfinite(v)):
@@ -107,6 +107,7 @@ def integrate(
     keeps every accepted step.
     """
     v = _check_state(v0, g.n)
+    t_end = _real(t_end, "t_end")
     if not np.isfinite(t_end) or t_end < 0:
         raise InputError("t_end must be non-negative and finite", code="invalid-argument")
     if max_points is not None:
@@ -114,7 +115,7 @@ def integrate(
     if dt_hint is None:
         h = default_step(rates)
     else:
-        h = float(dt_hint)
+        h = _real(dt_hint, "dt_hint")
         if not (np.isfinite(h) and h > 0):
             raise InputError("dt_hint must be positive and finite", code="invalid-argument")
 

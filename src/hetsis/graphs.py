@@ -150,12 +150,12 @@ def walk_counts(g: Graph) -> tuple[float, float]:
     return g._walk_counts
 
 
-def _floats(value, name: str) -> np.ndarray:
-    """value as a float array; anything non-numeric raises ``invalid-rates``."""
+def _floats(value, name: str, code: str = "invalid-rates") -> np.ndarray:
+    """value as a float array; anything non-numeric raises ``code``."""
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise InputError(f"{name} must be numeric, got {value!r}", code="invalid-rates") from None
+        raise InputError(f"{name} must be numeric, got {value!r}", code=code) from None
 
 
 def _positive_vector(value, n: int, name: str) -> np.ndarray:
@@ -180,6 +180,15 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise InputError(f"{name} must be at least {minimum}, got {value}", code="invalid-argument")
     return value
+
+
+def _real(value, name: str) -> float:
+    """The real-argument rule: a real scalar (an int, a float, a numpy scalar
+    or a 0-d array; a string is refused even when numeric), as a float."""
+    arr = np.asarray(value)
+    if arr.ndim != 0 or arr.dtype.kind not in "biuf":
+        raise InputError(f"{name} must be a real number, got {value!r}", code="invalid-argument")
+    return float(arr)
 
 
 def _node(g: Graph, i) -> int:

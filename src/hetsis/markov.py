@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig, _integer
+from .graphs import Graph, RateConfig, _floats, _integer, _real
 
 __all__ = [
     "ExactChain",
@@ -88,7 +88,7 @@ def build_exact_chain(g: Graph, rates: RateConfig) -> ExactChain:
 
 def _state_vector(chain: ExactChain, p, name: str) -> np.ndarray:
     """p as a float vector over the 2^n states of the chain."""
-    p = np.asarray(p, dtype=float)
+    p = _floats(p, name, code="invalid-distribution")
     if p.shape != (1 << chain.n,):
         raise InputError(f"{name} must have length {1 << chain.n}, got shape {p.shape}", code="length-mismatch")
     return p
@@ -104,6 +104,7 @@ def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.nd
     p0 = _state_vector(chain, p0, "p0")
     if not (np.all(p0 >= 0) and abs(float(p0.sum()) - 1.0) <= 1e-12):  # so a NaN entry fails it
         raise InputError("p0 must be a probability distribution", code="invalid-distribution")
+    t = _real(t, "t")
     if not np.isfinite(t) or t < 0:
         raise InputError("t must be non-negative and finite", code="invalid-argument")
 
@@ -266,6 +267,7 @@ def simulate(
     seed.  Replicas advance together in blocks, in the calling thread;
     ``max_workers`` is accepted for compatibility and ignored.
     """
+    horizon, burn_in = _real(horizon, "horizon"), _real(burn_in, "burn_in")
     if not np.isfinite(horizon) or not np.isfinite(burn_in) or burn_in < 0 or horizon <= burn_in:
         raise InputError("need 0 <= burn_in < horizon", code="invalid-argument")
     replicas, seed = _integer(replicas, "replicas", 1), _integer(seed, "seed", 0)

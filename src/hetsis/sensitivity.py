@@ -29,13 +29,12 @@ evaluated points instead of solving there.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig, _node
+from .graphs import Graph, RateConfig, _node, _real
 from .spectral import _definite_above
 from .steady_state import SteadyState, _jacobian, solve
 
@@ -58,6 +57,7 @@ _PD_FLOOR = 1e-10  # smallest eigenvalue the symmetric form of S must exceed
 _SOLVE_TOL = 1e-12  # steady-state tolerance of every solve made here
 _OPTIMUM_TOL = 1e-8  # relative bracket width at which the optimal curing rate is returned
 _LEDGER_TOL = 1e-9  # relative slack of the inverse-matrix ledger
+_SCALES = (0.6, 0.8, 1.0, 1.25, 1.5)  # factors on delta_i along node i's convexity sweep; 1.0 is the base state
 
 
 def _require_endemic(ss: SteadyState) -> None:
@@ -267,7 +267,7 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
     optimum always exceeds (1 - v_i) v_i / price, which is asserted on the
     result.
     """
-    i = _node(g, i)
+    i, price = _node(g, i), _real(price, "price")
     if not np.isfinite(price) or price <= 0:
         raise InputError("price must be strictly positive and finite", code="invalid-argument")
 
@@ -349,23 +349,28 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
     return best
 
 
-def convexity_verdicts(g: Graph, rates: RateConfig, scales=(0.6, 0.8, 1.0, 1.25, 1.5)) -> list[list[str]]:
+def convexity_verdicts(g: Graph, rates: RateConfig) -> list[list[str]]:
     """Per-(k, i) verdicts in {convex, concave, indefinite} from the sign
-    of d^2 v_k / d delta_i^2 as delta_i sweeps over scaled values.
+    of d^2 v_k / d delta_i^2 as delta_i sweeps over delta_i times 0.6,
+    0.8, 1.0, 1.25 and 1.5.
 
     Sweep points that are extinct or on the critical surface are skipped;
     if fewer than two points of a sweep remain, the verdict is
     "indefinite".  Each point contributes the second derivative along
-    node i's own rate only.  Scale 1.0 leaves every rate as it is, so that
-    configuration is solved and linearized once and serves every node's
-    sweep.
+    node i's own rate only.  Factor 1.0 leaves every rate as it is, so that
+    state is solved and linearized once and serves every node's sweep.
     """
+    return _sweep(g, rates, _linearized(g, rates, 0, rates.delta[0]))  # the rates as given
 
-    def linearized(i: int, scale: float) -> _Linearization | None:
-        solved = _with_curing_rate(g, rates, i, rates.delta[i] * scale)
-        return None if solved is None else _Linearization.at(g, *solved)
 
-    unscaled = functools.cache(linearized)
+def _linearized(g: Graph, rates: RateConfig, i: int, delta_i: float) -> _Linearization | None:
+    """_Linearization with delta_i at node i; None if extinct or on the surface."""
+    solved = _with_curing_rate(g, rates, i, delta_i)
+    return None if solved is None else _Linearization.at(g, *solved)
+
+
+def _sweep(g: Graph, rates: RateConfig, base: _Linearization | None) -> list[list[str]]:
+    """convexity_verdicts with the base state's linearization given (None if not endemic)."""
     n = g.n
     units = np.eye(n)
     low = np.zeros((n, n))
@@ -373,8 +378,8 @@ def convexity_verdicts(g: Graph, rates: RateConfig, scales=(0.6, 0.8, 1.0, 1.25,
     swept = np.zeros(n, dtype=bool)  # at least two endemic sweep points
     for i in range(n):
         columns = []
-        for scale in scales:
-            lin = unscaled(0, 1.0) if scale == 1.0 else linearized(i, scale)
+        for scale in _SCALES:
+            lin = base if scale == 1.0 else _linearized(g, rates, i, rates.delta[i] * scale)
             if lin is not None:
                 columns.append(lin.along(units[i])[1])
         if len(columns) >= 2:
@@ -394,9 +399,13 @@ def inverse_checks(g: Graph, rates: RateConfig, ss: SteadyState) -> dict:
     The symmetric upper bound only applies when all infection rates are
     equal (S is then symmetric) and is marked inapplicable otherwise.
     """
-    inv = _Linearization.at(g, rates, ss).inv
+    return _ledger(g, rates, ss.v_inf, _Linearization.at(g, rates, ss).inv)
+
+
+def _ledger(g: Graph, rates: RateConfig, v: np.ndarray, inv: np.ndarray) -> dict:
+    """inverse_checks at the endemic state v with S^{-1} = inv."""
     a = g.adjacency
-    v, beta, delta = ss.v_inf, rates.beta, rates.delta
+    beta, delta = rates.beta, rates.delta
     d = g.degrees.astype(float)
     n = g.n
     diag = np.diag(inv)
@@ -477,12 +486,15 @@ class SensitivityReport:
     convexity: list
 
 
-def full_report(
-    g: Graph,
-    rates: RateConfig,
-    ss: SteadyState | None = None,
-    scales=(0.6, 0.8, 1.0, 1.25, 1.5),
-) -> SensitivityReport:
+def full_report(g: Graph, rates: RateConfig, ss: SteadyState | None = None) -> SensitivityReport:
+    """Every sensitivity result at the endemic state ss (solved here at
+    tolerance 1e-12 when not given).
+
+    S and S^{-1} are built once at ss and give the derivatives, the tied
+    derivatives (when all curing rates are equal), the curvature matrix
+    and the factor-1.0 point of every convexity sweep; only the other
+    sweep points are solved and linearized.
+    """
     if ss is None:
         ss = solve(g, rates, tol=_SOLVE_TOL)
     lin = _Linearization.at(g, rates, ss)
@@ -498,5 +510,5 @@ def full_report(
         d1_tied=d1_tied,
         d2_tied=d2_tied,
         m_matrix=lin.curvature(d2)[0],
-        convexity=convexity_verdicts(g, rates, scales=scales),
+        convexity=_sweep(g, rates, lin),
     )

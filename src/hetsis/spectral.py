@@ -30,7 +30,7 @@ __all__ = [
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    m = _floats(m, "matrix", code="invalid-matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise InputError(f"expected a non-empty square matrix, got shape {m.shape}", code="invalid-matrix")
     largest = float(np.abs(m).max())  # inf or nan when any entry is
@@ -87,8 +87,10 @@ def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
 def _definite_above(m: np.ndarray, floor: float) -> bool:
     """Whether every eigenvalue of the symmetric m exceeds floor, that is,
     whether m - floor I has a Cholesky factorization."""
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] -= floor
     try:
-        np.linalg.cholesky(m - floor * np.eye(m.shape[0]))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -32,7 +32,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig, _integer
+from .graphs import Graph, RateConfig, _integer, _real
 from .spectral import _definite_above, effective_adjacency
 
 __all__ = [
@@ -192,6 +192,7 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
     (0, 1) or reaches max_iter steps in all raises ``no-convergence``.
     tol must be positive and finite, max_iter a non-negative integer.
     """
+    tol = _real(tol, "tol")
     if not 0.0 < tol < np.inf:
         raise InputError(f"tol must be positive and finite, got {tol!r}", code="invalid-argument")
     max_iter = _integer(max_iter, "max_iter", 0)
@@ -199,20 +200,13 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
     if side == 0:
         raise NumericalError("at critical threshold, derivative undefined", code="critical-threshold")
     if side < 0:
-        zeros = np.zeros(g.n)
-        return SteadyState(
-            v_inf=zeros,
-            v_tilde=zeros.copy(),
-            w=rates.delta.copy(),
-            iterations=0,
-            residual=0.0,
-            regime="extinct",
-            y_inf=0.0,
-            path="extinct",
-        )
-    v, iterations, residual, converged = _iterate(g, rates, tol, max_iter)
-    if not converged:
-        v, iterations, residual = _newton_finish(g, rates, v, iterations, tol, max_iter)
+        v, iterations, residual, path = np.zeros(g.n), 0, 0.0, "extinct"
+    else:
+        v, iterations, residual, converged = _iterate(g, rates, tol, max_iter)
+        path = "map"
+        if not converged:
+            v, iterations, residual = _newton_finish(g, rates, v, iterations, tol, max_iter)
+            path = "map+newton"
     v_tilde = rates.beta * v
     return SteadyState(
         v_inf=v,
@@ -220,9 +214,9 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
         w=g.adjacency @ v_tilde + rates.delta,
         iterations=iterations,
         residual=residual,
-        regime="endemic",
+        regime="extinct" if side < 0 else "endemic",
         y_inf=float(v.mean()),
-        path="map" if converged else "map+newton",
+        path=path,
     )
 
 

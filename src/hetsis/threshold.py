@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig, _floats, _integer, _positive_vector, walk_counts
+from .graphs import Graph, RateConfig, _floats, _integer, _positive_vector, _real, walk_counts
 from .spectral import _lambda_max, effective_adjacency
 from .steady_state import CRITICAL_BAND, _side
 
@@ -153,7 +153,7 @@ def critical_perturbation(h2: float, n: int) -> float:
     """Companion perturbation h1 keeping an (h1, h2, 0, ...) disturbed
     homogeneous complete-graph configuration on the critical surface:
     h1 = -h2 / (1 + 2 ((n-1)/n) h2)."""
-    n = _integer(n, "n", 2)
+    n, h2 = _integer(n, "n", 2), _real(h2, "h2")
     if not np.isfinite(h2):
         raise InputError("h2 must be finite", code="invalid-argument")
     denom = 1.0 + 2.0 * ((n - 1.0) / n) * h2

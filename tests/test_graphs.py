@@ -4,7 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetsis import Graph, InputError, RateConfig, format_edge_list, parse_edge_list, walk_counts
+from hetsis import (
+    Graph,
+    InputError,
+    RateConfig,
+    build_exact_chain,
+    critical_perturbation,
+    dominant_eigenpair,
+    format_edge_list,
+    integrate,
+    mean_field_rhs,
+    optimal_curing_rate,
+    parse_edge_list,
+    simulate,
+    solve,
+    transient_distribution,
+    walk_counts,
+)
 
 from conftest import (
     brute_walk_counts,
@@ -63,6 +79,34 @@ def test_from_edges_refuses_non_integer_ids_and_size(edges, n):
     with pytest.raises(InputError) as info:
         Graph.from_edges(edges, n=n)
     assert info.value.code == "invalid-argument"
+
+
+def non_numeric_calls():
+    g = complete_graph(3)
+    r = RateConfig.for_graph(g, 1.0, 1.0)
+    chain = build_exact_chain(g, r)
+    p0 = np.eye(8)[7]
+    return {  # name: (call, code)
+        "integrate-v0-dict": (lambda: integrate(g, r, {"a": 1}, 1.0), "state-out-of-range"),
+        "integrate-v0-str": (lambda: integrate(g, r, "x", 1.0), "state-out-of-range"),
+        "integrate-t_end": (lambda: integrate(g, r, np.full(3, 0.5), "x"), "invalid-argument"),
+        "mean_field_rhs": (lambda: mean_field_rhs(g, r, "x"), "state-out-of-range"),
+        "transient_distribution-p0": (lambda: transient_distribution(chain, "x", 1.0), "invalid-distribution"),
+        "transient_distribution-t": (lambda: transient_distribution(chain, p0, "x"), "invalid-argument"),
+        "critical_perturbation": (lambda: critical_perturbation("x", 3), "invalid-argument"),
+        "solve-tol": (lambda: solve(g, r, "x"), "invalid-argument"),
+        "simulate-horizon": (lambda: simulate(g, r, "x", 0.0, 1, 0), "invalid-argument"),
+        "optimal_curing_rate-price": (lambda: optimal_curing_rate(g, r, 0, "x"), "invalid-argument"),
+        "dominant_eigenpair": (lambda: dominant_eigenpair("x"), "invalid-matrix"),
+    }
+
+
+@pytest.mark.parametrize("name", list(non_numeric_calls()))
+def test_non_numeric_arguments_raise_typed_errors(name):
+    call, code = non_numeric_calls()[name]
+    with pytest.raises(InputError) as info:
+        call()
+    assert info.value.code == code
 
 
 def test_adjacency_is_immutable():

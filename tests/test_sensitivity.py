@@ -7,6 +7,7 @@ Closed forms on the triangle with beta = delta = 1 (v = 1/2):
   Schur quantities at any node: f = 2/3, own derivative -0.3
 """
 
+import json
 import re
 
 import numpy as np
@@ -22,6 +23,7 @@ from hetsis import (
     convexity_verdicts,
     curvature_matrix,
     first_derivatives,
+    format_edge_list,
     full_report,
     inverse_checks,
     optimal_curing_rate,
@@ -30,7 +32,9 @@ from hetsis import (
     sensitivity,
     sensitivity_matrix,
     solve,
+    steady_state,
 )
+from hetsis.cli import main
 
 from conftest import (
     complete_graph,
@@ -571,7 +575,7 @@ def test_own_rate_residual_nondecreasing_over_the_grid(seed):
         assert np.all(np.diff(slopes) >= -1e-10 * np.abs(slopes[:-1]))
 
 
-def loop_convexity_verdicts(g, rates, scales=(0.6, 0.8, 1.0, 1.25, 1.5), deadband=1e-8):
+def loop_convexity_verdicts(g, rates, deadband=1e-8):
     """Reference: one solve and one d2 per (node, scale), verdicts cell by
     cell.  Returns (verdicts, number of sweep points skipped)."""
     n = g.n
@@ -580,7 +584,7 @@ def loop_convexity_verdicts(g, rates, scales=(0.6, 0.8, 1.0, 1.25, 1.5), deadban
     counts = np.zeros(n, dtype=int)
     skipped = 0
     for i in range(n):
-        for scale in scales:
+        for scale in (0.6, 0.8, 1.0, 1.25, 1.5):
             delta = rates.delta.copy()
             delta[i] = rates.delta[i] * scale
             trial = RateConfig.for_graph(g, rates.beta, delta)
@@ -618,22 +622,26 @@ def convexity_cases():
     k5 = complete_graph(5)
     rng = np.random.default_rng(1)
     g8 = random_connected_graph(8, rng)
-    r8 = random_rates_at(g8, rng, 1.2)  # the hub leaves the endemic regime at 3 delta_hub
-    default = (0.6, 0.8, 1.0, 1.25, 1.5)
-    return {  # name: (graph, rates, scales, whether some sweep point leaves the endemic regime)
-        "a07-star": (star, RateConfig.for_graph(star, [0.5, 0.2, 1.0, 1.0], [1.0, 0.2, 1.0, 1.0]), default, True),
-        "k5": (k5, homogeneous_rates(k5, 1.0), default, False),
-        "random8-leaves-endemic": (g8, r8, (0.6, 1.0, 1.5, 3.0, 4.0), True),
-        "random8-one-point-left": (g8, r8, (1.0, 3.0, 4.0), True),  # the hub's sweep is indefinite
-        "random8-without-unscaled": (g8, r8, (0.7, 0.9, 1.1, 1.3), False),
+    r8 = random_rates_at(g8, rng, 1.2)
+
+    def at(lam):  # r8 with beta rescaled to lambda_max(R) = lam
+        return RateConfig.for_graph(g8, r8.beta * (lam / 1.2), r8.delta)
+
+    return {  # name: (graph, rates, whether some sweep point leaves the endemic regime)
+        "a07-star": (star, RateConfig.for_graph(star, [0.5, 0.2, 1.0, 1.0], [1.0, 0.2, 1.0, 1.0]), True),
+        "k5": (k5, homogeneous_rates(k5, 1.0), False),
+        # the hub's points at 1.25 and 1.5 delta_hub are extinct (lambda_max(R) 0.994 and 0.955)
+        "random8-leaves-endemic": (g8, at(1.05), True),
+        # only the hub's point at 0.6 delta_hub is endemic (lambda_max(R) 1.084, 0.990 at 0.8), so its sweep is indefinite
+        "random8-one-point-left": (g8, at(0.93), True),
     }
 
 
 @pytest.mark.parametrize("name", list(convexity_cases()))
 def test_convexity_verdicts_match_per_node_loop(name):
-    g, r, scales, leaves = convexity_cases()[name]
-    expected, skipped = loop_convexity_verdicts(g, r, scales)
-    assert convexity_verdicts(g, r, scales) == expected
+    g, r, leaves = convexity_cases()[name]
+    expected, skipped = loop_convexity_verdicts(g, r)
+    assert convexity_verdicts(g, r) == expected
     assert (skipped > 0) == leaves
 
 
@@ -680,20 +688,42 @@ def test_optimal_curing_rate_raises_a_failed_walk_solve(monkeypatch):
     assert info.value.code == "no-convergence"
 
 
-def test_full_report_solves_the_unscaled_rates_once(monkeypatch):
+def test_each_endemic_state_is_solved_and_linearized_once(monkeypatch, tmp_path, capsys):
     rng = np.random.default_rng(4)
     g = random_connected_graph(7, rng)
     r = random_rates_at(g, rng, 2.0)
-    calls = []
+    n = g.n
+    ss = solve(g, r, tol=1e-12)
+    counts = {"solve": 0, "at": 0}  # solves made by sensitivity or the CLI, and _Linearization.at calls
+    at = sensitivity._Linearization.at.__func__
 
     def counting_solve(*args, **kwargs):
-        calls.append(args)
+        counts["solve"] += 1
         return solve(*args, **kwargs)
 
+    def counting_at(cls, *args):
+        counts["at"] += 1
+        return at(cls, *args)
+
     monkeypatch.setattr(sensitivity, "solve", counting_solve)
+    monkeypatch.setattr(steady_state, "solve", counting_solve)
+    monkeypatch.setattr(sensitivity._Linearization, "at", classmethod(counting_at))
+    # the base state, then 4 scaled points per node; the base also serves every sweep's factor 1.0
     full_report(g, r)
-    # the base state, once for the sweeps' scale 1.0, and 4 scaled points per node
-    assert len(calls) <= 2 + 4 * g.n  # one per (node, scale) made 1 + 5 n
+    assert counts == {"solve": 1 + 4 * n, "at": 1 + 4 * n}
+    counts.update(solve=0, at=0)
+    full_report(g, r, ss)
+    assert counts == {"solve": 4 * n, "at": 1 + 4 * n}
+
+    graph, rates = tmp_path / "g.edges", tmp_path / "rates.json"
+    graph.write_text(format_edge_list(g))
+    rates.write_text(json.dumps({"beta": r.beta.tolist(), "delta": r.delta.tolist()}))
+    counts.update(solve=0, at=0)
+    assert main(["sensitivity", "--graph", str(graph), "--rates", str(rates)]) == 0
+    capsys.readouterr()
+    assert counts == {"solve": 1 + 4 * n, "at": 1 + 4 * n}  # the inverse ledger reads the report's S^{-1}
+
+    assert full_report(g, r, ss).convexity == convexity_verdicts(g, r)
 
 
 def test_convexity_verdicts_frozen_cases():
@@ -847,7 +877,7 @@ def test_full_report_matches_dense_solves(tied):
     r = RateConfig.for_graph(g, beta, delta)
     r = RateConfig.for_graph(g, beta * 2.5 / classify(g, r).lambda_max_R, delta)
     ss = solve(g, r, tol=1e-13)
-    report = full_report(g, r, ss, scales=(1.0,))
+    report = full_report(g, r, ss)
     reference = solve_reference(g, r, ss)
     if not tied:
         assert report.d1_tied is None and report.d2_tied is None

@@ -18,6 +18,7 @@ from hetsis import (
     effective_adjacency,
     generalized_laplacian,
     gerschgorin_intervals,
+    spectral,
 )
 
 from conftest import (
@@ -145,6 +146,13 @@ def test_node_weights_checked_by_one_rule(build, q, code):
     with pytest.raises(InputError) as info:
         build(path_graph(3), q)
     assert info.value.code == code
+
+
+def test_definite_above_leaves_its_input_unchanged():
+    m = complete_graph(3).adjacency + np.diag([1.0, 2.0, 3.0])  # eigenvalues about 0.32, 1.46, 4.21
+    kept = m.copy()
+    assert spectral._definite_above(m, 0.3) and not spectral._definite_above(m, 0.35)
+    assert m.tobytes() == kept.tobytes()
 
 
 def test_dominant_eigenpair_rejects_reducible_input():
