@@ -16,12 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _floats, _integer, _real
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ExactChain",
@@ -53,6 +56,8 @@ class ExactChain:
 
         Uniformization's step p <- p P, done as P^T p on column vectors.
         """
+        import scipy.sparse as sp
+
         size = 1 << self.n
         return (sp.eye(size, format="csr") + self.generator / self.uniformization_rate).T.tocsr()
 
@@ -62,8 +67,12 @@ def build_exact_chain(g: Graph, rates: RateConfig) -> ExactChain:
 
     From state s, each susceptible node i gains infection at rate
     sum_j beta_j a_ij [j in s], and each infected node i cures at rate
-    delta_i.  The all-susceptible state has no outflow.
+    delta_i.  The all-susceptible state has no outflow.  scipy.sparse is
+    imported here, at a process's first chain, so ``import hetsis`` loads
+    numpy only.
     """
+    import scipy.sparse as sp
+
     if g.n > _MAX_EXACT_NODES:
         raise InputError(
             f"exact chain too large: 2^{g.n} states (limit n <= {_MAX_EXACT_NODES})",

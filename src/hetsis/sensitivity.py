@@ -247,8 +247,9 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
     the residual r = price + dv_i/d delta_i never falls as delta_i rises: on
     the grid delta_i * geomspace(1e-3, 1e3, 49) the search walks from
     delta_i (up if r < 0 there, else down) to the adjacent endemic pair
-    (lo, hi) where r turns non-negative and bisects it to a width of
-    1e-8 max(1, hi).
+    (lo, hi) where r turns non-negative and bisects it to a relative width
+    of 1e-8, hi - lo <= 1e-8 hi, so the result does not depend on the time
+    unit.
 
     The same monotonicity fixes the sign of r at most midpoints without a
     solve.  The search keeps a band (a, b) of evaluated points with
@@ -299,7 +300,7 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
     low, high = (p, near) if p[1] < 0.0 else (near, p)
     a = lo = low[0]
     b = hi = high[0]
-    quarter = 0.25 * _OPTIMUM_TOL * max(1.0, hi)
+    quarter = 0.25 * _OPTIMUM_TOL * hi
     unit = np.eye(g.n)[i]
     pivot, slope = min(low, high, key=lambda q: abs(q[1])), None  # Newton steps start here
     last = before = np.inf  # lengths of the last two steps
@@ -326,7 +327,7 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
         if abs(p[1]) < abs(pivot[1]):
             pivot, slope = p, None
 
-    while hi - lo > _OPTIMUM_TOL * max(1.0, hi):
+    while hi - lo > _OPTIMUM_TOL * hi:
         mid = 0.5 * (lo + hi)
         if a < mid < b:
             if inside(mid)[1] <= 0.0:
@@ -344,7 +345,7 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
         raise NumericalError("no interior optimum", code="no-interior-optimum")
     ss = solved[1]
     floor = (1.0 - ss.v_inf[i]) * ss.v_inf[i] / price
-    if best <= floor - 1e-9 * max(1.0, floor):
+    if best <= floor * (1.0 - 1e-9):
         raise NumericalError("optimum below its structural floor", code="sign-violation")
     return best
 

@@ -5,11 +5,14 @@ routines (numpy.linalg / brute-force enumeration instead) so that a bug
 in the implementation cannot silently validate itself.
 """
 
+import os
 import signal
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
+import hetsis
 from hetsis import Graph, RateConfig, solve
 
 
@@ -153,3 +156,9 @@ def fd_second_tied(g: Graph, rates: RateConfig, h: float = 1e-3) -> np.ndarray:
         delta = rates.delta + shift
         states.append(solve(g, RateConfig.for_graph(g, rates.beta, delta), tol=1e-13).v_inf)
     return (states[0] - 2.0 * states[1] + states[2]) / h**2
+
+
+def subprocess_env() -> dict:
+    """Environment whose PYTHONPATH finds this checkout's package first."""
+    src = str(Path(hetsis.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

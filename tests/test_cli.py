@@ -5,7 +5,6 @@ runs confirm the installed entry point emits byte-identical documents.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +14,8 @@ import pytest
 
 import hetsis
 from hetsis.cli import main
+
+from conftest import subprocess_env
 
 
 @pytest.fixture
@@ -331,18 +332,28 @@ def test_entry_point_byte_identical(triangle_file):
     assert first.stdout.endswith(b"\n")
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg alone adds about 0.1 s to start-up, and scipy.integrate
-    # (which loads it) about 0.5 s; the package uses numpy.linalg and its own
-    # integrator so that `import hetsis, hetsis.cli` pays neither
-    src = str(Path(hetsis.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def test_import_and_mean_field_paths_leave_scipy_unloaded(triangle_file):
+    # scipy.sparse adds about 0.2 s to start-up and serves only the exact
+    # chain, which imports it on first use; scipy.linalg and scipy.integrate
+    # are not used at all.  So neither the import nor any mean-field path,
+    # CLI included, may load a scipy module.
     code = (
-        "import sys, hetsis, hetsis.cli; print(hetsis.__file__); "
-        "print('scipy.linalg' in sys.modules, 'scipy.integrate' in sys.modules)"
+        "import sys, contextlib, io, numpy as np, hetsis, hetsis.cli\n"
+        "print(hetsis.__file__)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "g = hetsis.Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])\n"
+        "r = hetsis.RateConfig.for_graph(g, 1.5, 1.0)\n"
+        "hetsis.solve(g, r)\n"
+        "hetsis.classify(g, r)\n"
+        "hetsis.critical_scaling(g, np.ones(g.n))\n"
+        "hetsis.integrate(g, r, np.full(g.n, 0.5), 2.0)\n"
+        "hetsis.full_report(g, r)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert hetsis.cli.main(['steady', '--graph', {triangle_file!r}, '--tau', '1.5']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    origin, linalg_loaded, integrate_loaded = out.stdout.split()
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)
+    origin, after_import, after_calls = out.stdout.splitlines()
     assert Path(origin).resolve() == Path(hetsis.__file__).resolve()
-    assert linalg_loaded == "False"
-    assert integrate_loaded == "False"
+    assert after_import == "[]"
+    assert after_calls == "[]"

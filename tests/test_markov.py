@@ -6,6 +6,8 @@ exact chain itself.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from conftest import (
     random_connected_graph,
     random_rates_at,
     star_graph,
+    subprocess_env,
     within_seconds,
 )
 
@@ -126,6 +129,33 @@ def test_transient_builds_uniformized_matrix_once(monkeypatch):
     assert len(builds) == 1
     assert vars(chain)["transition_t"] is kept
     assert np.array_equal(first, second)
+
+
+def test_exact_chain_loads_scipy_sparse_on_first_build():
+    # this process already holds scipy, so the lazy import is observed in a
+    # fresh interpreter; its distribution must equal the in-process one bit for bit
+    edges, beta, delta, t = [(0, 1), (1, 2), (2, 3), (1, 3)], [1.2, 0.7, 1.5, 0.9], [1.0, 0.6, 1.3, 0.8], 0.7
+    code = (
+        "import sys, numpy as np, hetsis\n"
+        "assert 'scipy' not in sys.modules\n"
+        f"g = hetsis.Graph.from_edges({edges!r})\n"
+        f"chain = hetsis.build_exact_chain(g, hetsis.RateConfig.for_graph(g, {beta!r}, {delta!r}))\n"
+        "p0 = np.zeros(1 << g.n); p0[-1] = 1.0\n"
+        f"p = hetsis.transient_distribution(chain, p0, {t!r})\n"
+        "print(type(chain.generator).__module__.split('.')[:2], chain.generator.format)\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "print(p.tobytes().hex())\n"
+        "print(hetsis.marginals(chain, p).tobytes().hex())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)
+    kind, sparse_loaded, p_hex, m_hex = out.stdout.splitlines()
+    assert kind == "['scipy', 'sparse'] csr"
+    assert sparse_loaded == "True"
+    g = Graph.from_edges(edges)
+    chain = build_exact_chain(g, RateConfig.for_graph(g, beta, delta))
+    p = transient_distribution(chain, all_infected_p0(g.n), t)
+    assert bytes.fromhex(p_hex) == p.tobytes()
+    assert bytes.fromhex(m_hex) == marginals(chain, p).tobytes()
 
 
 def test_chain_and_estimate_compare_and_hash_by_identity():

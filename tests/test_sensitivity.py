@@ -373,7 +373,7 @@ def eager_optimal_curing_rate(g, rates, i, price, tol=1e-8, solver_tol=1e-12):
         raise NumericalError("no interior optimum", code="no-interior-optimum")
     lo, hi = bracket
     r_lo = previous[1]
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > tol * hi:
         mid = 0.5 * (lo + hi)
         r_mid = residual(mid)
         if r_mid is None:
@@ -387,7 +387,7 @@ def eager_optimal_curing_rate(g, rates, i, price, tol=1e-8, solver_tol=1e-12):
     delta[i] = best
     ss = solve(g, RateConfig.for_graph(g, rates.beta, delta), tol=solver_tol)
     floor = (1.0 - ss.v_inf[i]) * ss.v_inf[i] / price
-    if best <= floor - 1e-9 * max(1.0, floor):
+    if best <= floor * (1.0 - 1e-9):
         raise NumericalError("optimum below its structural floor", code="sign-violation")
     return best
 
@@ -451,6 +451,23 @@ def test_optimal_curing_rate_matches_eager_scan(name, side):
         assert expected == side
     else:  # the case brackets on the side of delta_i its name says
         assert (expected > r.delta[i]) == (side == "above")
+
+
+def scaled_rates(g, rates, factor):
+    return RateConfig.for_graph(g, rates.beta * factor, rates.delta * factor)
+
+
+@pytest.mark.parametrize("name", ["star-hub", "k3-below", "random-hub", "path-optimum-below-extinct-delta"])
+def test_optimal_curing_rate_is_independent_of_the_time_unit(name):
+    # every case slowed 100x so its optimum lies below 1, where an absolute
+    # bracket width of 1e-8 would be 1e-7-1e-6 relative; a change of time
+    # unit (rates x1000, price / 1000) must scale the optimum by 1000
+    g, r, i, price = optimum_cases()[name]
+    slow = scaled_rates(g, r, 0.01)
+    best = optimal_curing_rate(g, slow, i, 100.0 * price)
+    assert best < 1.0
+    fast = optimal_curing_rate(g, scaled_rates(g, slow, 1000.0), i, 0.1 * price)
+    assert abs(fast / 1000.0 - best) <= 1e-8 * best
 
 
 def counted_solves(monkeypatch) -> list:
