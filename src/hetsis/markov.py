@@ -106,9 +106,14 @@ def _state_vector(chain: ExactChain, p, name: str) -> np.ndarray:
 def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.ndarray:
     """State distribution p0 exp(G t), by uniformization.
 
-    The Poisson-weighted power series of P = I + G/rate is summed until
-    the remaining tail mass is below 1e-12; weights are evaluated in the
-    log domain so long horizons do not underflow.
+    The Poisson-weighted power series of P = I + G/rate, at Poisson mean
+    mu = rate t, is summed until the summed weight reaches 1 - 1e-12 or,
+    once the term index passes mu, the remaining tail mass is at most
+    1e-12 by the bound w_k q/(1 - q), q = mu/(k + 1) (the right
+    truncation of Fox & Glynn 1988).  The bound ends long horizons, where
+    the summed weight levels off below 1 - 1e-12 in floating point.
+    Weights are evaluated in the log domain so long horizons do not
+    underflow.
     """
     p0 = _state_vector(chain, p0, "p0")
     if not (np.all(p0 >= 0) and abs(float(p0.sum()) - 1.0) <= 1e-12):  # so a NaN entry fails it
@@ -127,15 +132,15 @@ def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.nd
     x = p0.copy()
     cumulative = 0.0
     k = 0
-    while cumulative < 1.0 - _POISSON_TAIL:
+    while True:
         weight = math.exp(k * log_mu - mu - math.lgamma(k + 1))
         result += weight * x
         cumulative += weight
-        x = chain.transition_t @ x
         k += 1
-        if k > mu + 100.0 * math.sqrt(mu + 1.0) + 100.0:
-            raise NumericalError("uniformization series failed to terminate", code="no-convergence")
-    return result
+        # terms 0..k-1 are summed; once k > mu the rest weighs at most weight * mu / (k - mu)
+        if cumulative >= 1.0 - _POISSON_TAIL or k > mu and weight * mu <= _POISSON_TAIL * (k - mu):
+            return result
+        x = chain.transition_t @ x
 
 
 def marginals(chain: ExactChain, p: np.ndarray) -> np.ndarray:

@@ -20,7 +20,10 @@ with
 to the own-rate derivative through the node-deleted graph, a curvature
 diagnostic matrix, convexity verdicts over curing-rate sweeps, an
 optimal curing rate and a ledger of identities and inequalities on
-S^{-1} all live here.  As v_i is convex in delta_i, the optimum's
+S^{-1} all live here.  A sweep walks outward from its base state by
+continuation: each point's state is predicted from the previous point's
+(x, x') and corrected by Newton steps on S, with ``solve`` as the
+fallback.  As v_i is convex in delta_i, the optimum's
 stationarity residual never falls as delta_i rises, so its search walks a
 grid to a sign change, narrows the bracket by safeguarded Newton steps
 and bisects it, inferring the sign at each midpoint outside the band of
@@ -35,8 +38,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _node, _real
-from .spectral import _definite_above
-from .steady_state import SteadyState, _jacobian, solve
+from .spectral import _definite_above, effective_adjacency
+from .steady_state import SteadyState, _corrected, _jacobian, _side, solve
 
 __all__ = [
     "SensitivityReport",
@@ -53,11 +56,11 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _DEADBAND = 1e-8
-_PD_FLOOR = 1e-10  # smallest eigenvalue the symmetric form of S must exceed
+_PD_FLOOR = 1e-10  # smallest eigenvalue the symmetric form of S must exceed, in units of max_i delta_i
 _SOLVE_TOL = 1e-12  # steady-state tolerance of every solve made here
 _OPTIMUM_TOL = 1e-8  # relative bracket width at which the optimal curing rate is returned
 _LEDGER_TOL = 1e-9  # relative slack of the inverse-matrix ledger
-_SCALES = (0.6, 0.8, 1.0, 1.25, 1.5)  # factors on delta_i along node i's convexity sweep; 1.0 is the base state
+_CHAINS = ((1.25, 1.5), (0.8, 0.6))  # factors on delta_i along node i's convexity sweep, outward from the base 1.0
 
 
 def _require_endemic(ss: SteadyState) -> None:
@@ -80,14 +83,19 @@ def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarr
     S = diag(delta/(1 - v)^2) - A diag(beta) is similar to the symmetric
     form diag(sqrt beta) S diag(sqrt beta)^{-1} = diag(delta/(1 - v)^2) -
     diag(sqrt beta) A diag(sqrt beta), whose smallest eigenvalue must
-    exceed 1e-10: a Cholesky factorization of the form shifted down by
-    1e-10 must exist.
+    exceed 1e-10 max_i delta_i: a Cholesky factorization of the form
+    shifted down by that floor must exist.  The floor is in the unit of
+    the rates, so scaling every rate scales it with S.
     """
     _require_endemic(ss)
-    s = _jacobian(g, rates, ss.v_inf)
+    return _definite(_jacobian(g, rates, ss.v_inf), rates)
+
+
+def _definite(s: np.ndarray, rates: RateConfig) -> np.ndarray:
+    """sensitivity_matrix's positive-definiteness check on S = s."""
     root = np.sqrt(rates.beta)
     sym = root[:, None] * s / root[None, :]
-    if not _definite_above(sym, _PD_FLOOR):
+    if not _definite_above(sym, _PD_FLOOR * float(rates.delta.max())):
         smallest = float(np.linalg.eigvalsh(sym)[0])
         raise NumericalError(
             f"sensitivity matrix not positive definite (smallest eigenvalue {smallest:.3e}); "
@@ -118,8 +126,9 @@ class _Linearization:
     inv: np.ndarray
 
     @classmethod
-    def at(cls, g: Graph, rates: RateConfig, ss: SteadyState) -> "_Linearization":
-        s = sensitivity_matrix(g, rates, ss)
+    def at(cls, g: Graph, rates: RateConfig, ss: SteadyState, s: np.ndarray | None = None) -> "_Linearization":
+        """Linearization at ss; s, when given, is S at ss from ``_jacobian``, so it is not built again."""
+        s = sensitivity_matrix(g, rates, ss) if s is None else _definite(s, rates)
         inv = _near_critical(np.linalg.inv, s)
         cond = float(np.linalg.norm(s, 1) * np.linalg.norm(inv, 1))
         if cond > _COND_LIMIT:
@@ -133,7 +142,7 @@ class _Linearization:
         """(x, x') of the module docstring along u; a matrix u holds one direction per column."""
         v, delta = (self.v, self.delta) if u.ndim == 1 else (self.v[:, None], self.delta[:, None])
         x = -(self.inv @ (u * v / (1.0 - v)))
-        if float(x.max()) > 1e-10:
+        if float(x.max()) * float(self.delta.max()) > 1e-10:  # x is in units of 1 / rate
             raise NumericalError("positive curing-rate derivative detected", code="sign-violation")
         w = 2.0 * delta * x**2 / (1.0 - v) ** 3 + 2.0 * u * x / (1.0 - v) ** 2
         return x, -(self.inv @ w)
@@ -208,10 +217,14 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     nodes, so f = (beta a)_rest . S_rest^{-1} a_rest.
     """
     _require_endemic(ss)
-    i = _node(g, i)
-    v, tau = ss.v_inf, rates.tau
+    return _schur(g, rates, ss.v_inf, _node(g, i), _jacobian(g, rates, ss.v_inf))
+
+
+def _schur(g: Graph, rates: RateConfig, v: np.ndarray, i: int, s: np.ndarray) -> tuple[float, float]:
+    """schur_derivative at the endemic state v, where S = s."""
+    tau = rates.tau
     rest = np.arange(g.n) != i
-    s_rest = _jacobian(g, rates, v)[np.ix_(rest, rest)]
+    s_rest = s[np.ix_(rest, rest)]
     a_col = g.adjacency[rest, i]
     f = float((rates.beta[rest] * a_col) @ _near_critical(np.linalg.solve, s_rest, a_col))
     if f <= 0:
@@ -226,11 +239,15 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     return f, derivative
 
 
-def _with_curing_rate(g: Graph, rates: RateConfig, i: int, delta_i: float):
-    """(rates, steady state) with delta_i at node i; None if extinct or on the surface."""
+def _rates_with(g: Graph, rates: RateConfig, i: int, delta_i: float) -> RateConfig:
     delta = rates.delta.copy()
     delta[i] = delta_i
-    trial = RateConfig.for_graph(g, rates.beta, delta)
+    return RateConfig.for_graph(g, rates.beta, delta)
+
+
+def _with_curing_rate(g: Graph, rates: RateConfig, i: int, delta_i: float):
+    """(rates, steady state) with delta_i at node i; None if extinct or on the surface."""
+    trial = _rates_with(g, rates, i, delta_i)
     try:
         ss = solve(g, trial, tol=_SOLVE_TOL)
     except NumericalError as exc:
@@ -273,9 +290,13 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
         raise InputError("price must be strictly positive and finite", code="invalid-argument")
 
     def point(delta_i: float):
-        """(delta_i, r, (rates, steady state)); None if extinct or on the surface."""
+        """(delta_i, r, (rates, steady state, S)); None if extinct or on the surface."""
         solved = _with_curing_rate(g, rates, i, delta_i)
-        return None if solved is None else (delta_i, price + schur_derivative(g, *solved, i)[1], solved)
+        if solved is None:
+            return None
+        trial, ss = solved
+        s = _jacobian(g, trial, ss.v_inf)  # serves the Schur route here and the linearization if this is a pivot
+        return delta_i, price + _schur(g, trial, ss.v_inf, i, s)[1], (trial, ss, s)
 
     def inside(delta_i: float):
         """point(delta_i) for a delta_i between two endemic points."""
@@ -360,14 +381,37 @@ def convexity_verdicts(g: Graph, rates: RateConfig) -> list[list[str]]:
     "indefinite".  Each point contributes the second derivative along
     node i's own rate only.  Factor 1.0 leaves every rate as it is, so that
     state is solved and linearized once and serves every node's sweep.
+    The other points are reached by continuation from it, outward in two
+    chains (1.0, 1.25, 1.5 and 1.0, 0.8, 0.6): each is predicted to second
+    order from the point before and corrected by Newton steps.
     """
-    return _sweep(g, rates, _linearized(g, rates, 0, rates.delta[0]))  # the rates as given
+    return _sweep(g, rates, _continued(g, rates, 0, rates.delta[0], None, None))  # the rates as given
 
 
-def _linearized(g: Graph, rates: RateConfig, i: int, delta_i: float) -> _Linearization | None:
-    """_Linearization with delta_i at node i; None if extinct or on the surface."""
-    solved = _with_curing_rate(g, rates, i, delta_i)
-    return None if solved is None else _Linearization.at(g, *solved)
+def _continued(g: Graph, rates: RateConfig, i: int, delta_i: float, near, slopes) -> _Linearization | None:
+    """_Linearization with delta_i at node i; None if extinct or on the surface.
+
+    near is the sweep's previous endemic point and slopes = near.along(e_i):
+    the state is predicted as v + h x + h^2 x'/2 at the step h in delta_i
+    and corrected by Newton steps.  A prediction outside (0, 1) or a failed
+    correction falls back to ``solve``, as does a point with no endemic
+    point before it (near is None: the base itself, or any point of a sweep
+    whose base is not endemic).
+    """
+    trial = _rates_with(g, rates, i, delta_i)
+    if _side(effective_adjacency(g, trial.tau)) <= 0:
+        return None  # extinct or on the surface, by the rule of solve
+    ss = None
+    if near is not None:
+        h = delta_i - near.delta[i]
+        x, curvature = slopes
+        try:
+            ss = _corrected(g, trial, near.v + h * x + 0.5 * h**2 * curvature, _SOLVE_TOL)
+        except NumericalError:
+            pass  # solve decides, and raises its own errors
+    if ss is None:
+        ss = solve(g, trial, tol=_SOLVE_TOL)
+    return _Linearization.at(g, trial, ss)
 
 
 def _sweep(g: Graph, rates: RateConfig, base: _Linearization | None) -> list[list[str]]:
@@ -378,11 +422,15 @@ def _sweep(g: Graph, rates: RateConfig, base: _Linearization | None) -> list[lis
     high = np.zeros((n, n))
     swept = np.zeros(n, dtype=bool)  # at least two endemic sweep points
     for i in range(n):
-        columns = []
-        for scale in _SCALES:
-            lin = base if scale == 1.0 else _linearized(g, rates, i, rates.delta[i] * scale)
-            if lin is not None:
-                columns.append(lin.along(units[i])[1])
+        start = None if base is None else base.along(units[i])
+        columns = [] if start is None else [start[1]]
+        for chain in _CHAINS:
+            near, slopes = base, start
+            for scale in chain:
+                near = _continued(g, rates, i, rates.delta[i] * scale, near, slopes)
+                if near is not None:
+                    slopes = near.along(units[i])
+                    columns.append(slopes[1])
         if len(columns) >= 2:
             swept[i] = True
             low[:, i], high[:, i] = np.min(columns, axis=0), np.max(columns, axis=0)
@@ -499,7 +547,7 @@ def full_report(g: Graph, rates: RateConfig, ss: SteadyState | None = None) -> S
     if ss is None:
         ss = solve(g, rates, tol=_SOLVE_TOL)
     lin = _Linearization.at(g, rates, ss)
-    if float(lin.inv.min()) < -1e-10:
+    if float(lin.inv.min()) * float(rates.delta.max()) < -1e-10:  # S^{-1} is in units of 1 / rate
         raise NumericalError("negative entry in inverse sensitivity matrix", code="sign-violation")
     d1, d2 = lin.along(np.eye(g.n))
     d1_tied, d2_tied = lin.along(np.ones(g.n)) if _uniform(rates.delta) else (None, None)

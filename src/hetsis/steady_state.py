@@ -71,8 +71,10 @@ class SteadyState:
 
     v_tilde = beta * v_inf, w = A (beta * v_inf) + delta, and the
     residual is max_i |sum_j a_ij beta_j v_j - v_i delta_i / (1 - v_i)|
-    in units of max_i delta_i.  path is "extinct", "map" or "map+newton";
-    iterations counts map and Newton steps together.
+    in units of max_i delta_i.  path is "extinct", "map" or "map+newton"
+    from ``solve``, or "newton" for a state corrected by Newton steps from
+    an estimate (the convexity sweeps of ``sensitivity``); iterations
+    counts map and Newton steps together.
     """
 
     v_inf: np.ndarray
@@ -200,13 +202,30 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
     if side == 0:
         raise NumericalError("at critical threshold, derivative undefined", code="critical-threshold")
     if side < 0:
-        v, iterations, residual, path = np.zeros(g.n), 0, 0.0, "extinct"
-    else:
-        v, iterations, residual, converged = _iterate(g, rates, tol, max_iter)
-        path = "map"
-        if not converged:
-            v, iterations, residual = _newton_finish(g, rates, v, iterations, tol, max_iter)
-            path = "map+newton"
+        return _steady_state(g, rates, np.zeros(g.n), 0, 0.0, "extinct")
+    v, iterations, residual, converged = _iterate(g, rates, tol, max_iter)
+    if converged:
+        return _steady_state(g, rates, v, iterations, residual, "map")
+    return _steady_state(g, rates, *_newton_finish(g, rates, v, iterations, tol, max_iter), "map+newton")
+
+
+def _corrected(g: Graph, rates: RateConfig, guess: np.ndarray, tol: float) -> SteadyState:
+    """Endemic state by Newton steps from guess, an estimate of it (path "newton").
+
+    The caller has decided that rates are endemic.  Stops as the Newton
+    finish of ``solve`` does, once the residual and the last step are both
+    at most tol; a guess outside (0, 1) and every failure of the steps
+    raise ``no-convergence``.
+    """
+    if not 0.0 < guess.min() <= guess.max() < 1.0:  # also false when an entry is nan
+        raise NumericalError("Newton start outside (0, 1)", code="no-convergence")
+    return _steady_state(g, rates, *_newton_finish(g, rates, guess, 0, tol, _MAX_ITER), "newton")
+
+
+def _steady_state(
+    g: Graph, rates: RateConfig, v: np.ndarray, iterations: int, residual: float, path: str
+) -> SteadyState:
+    """The SteadyState of v, with the scaled variants every solver path reports."""
     v_tilde = rates.beta * v
     return SteadyState(
         v_inf=v,
@@ -214,7 +233,7 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
         w=g.adjacency @ v_tilde + rates.delta,
         iterations=iterations,
         residual=residual,
-        regime="extinct" if side < 0 else "endemic",
+        regime="extinct" if path == "extinct" else "endemic",
         y_inf=float(v.mean()),
         path=path,
     )

@@ -116,6 +116,19 @@ def test_transient_matches_dense_matrix_exponential():
         assert np.abs(transient_distribution(chain, p0, t) - expected).max() < 1e-10
 
 
+def test_transient_terminates_at_a_long_horizon():
+    # Poisson mean 3e5: the summed weights level off near 1 - 1.2e-10 in
+    # floating point, so only the tail bound ends the series; about 40% of
+    # the mass is absorbed by then, so the distribution is not trivial
+    g = path_graph(2)
+    chain = build_exact_chain(g, RateConfig.for_graph(g, 1.0, 1e-3))
+    t = 3e5 / chain.uniformization_rate
+    p0 = all_infected_p0(2)
+    expected = p0 @ scipy.linalg.expm(chain.generator.toarray() * t)
+    assert 0.1 < expected[0] < 0.9
+    assert np.abs(transient_distribution(chain, p0, t) - expected).max() <= 1e-9
+
+
 def test_transient_builds_uniformized_matrix_once(monkeypatch):
     g = star_graph(4)
     chain = build_exact_chain(g, RateConfig.for_graph(g, 1.5, 1.0))

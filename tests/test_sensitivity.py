@@ -536,13 +536,14 @@ def test_optimal_curing_rate_matches_eager_scan_on_random_configs():
 def residual_profile(monkeypatch, g, r, i, price):
     """(delta_i, dv_i/d delta_i) at every point optimal_curing_rate evaluates."""
     seen = []
+    schur = sensitivity._schur  # the Schur route of schur_derivative, on the S the search builds once per point
 
-    def recording(g, rates, ss, node):
-        f, derivative = schur_derivative(g, rates, ss, node)
+    def recording(g, rates, v, node, s):
+        f, derivative = schur(g, rates, v, node, s)
         seen.append((float(rates.delta[node]), derivative))
         return f, derivative
 
-    monkeypatch.setattr(sensitivity, "schur_derivative", recording)
+    monkeypatch.setattr(sensitivity, "_schur", recording)
     outcome(optimal_curing_rate, g, r, i, price)
     monkeypatch.undo()
     return sorted(seen)
@@ -649,6 +650,8 @@ def convexity_cases():
         "k5": (k5, homogeneous_rates(k5, 1.0), False),
         # the hub's points at 1.25 and 1.5 delta_hub are extinct (lambda_max(R) 0.994 and 0.955)
         "random8-leaves-endemic": (g8, at(1.05), True),
+        # near the surface: 9 of the 32 scaled points are extinct, the others corrected from lambda_max(R) = 1.02
+        "random8-near-surface": (g8, at(1.02), True),
         # only the hub's point at 0.6 delta_hub is endemic (lambda_max(R) 1.084, 0.990 at 0.8), so its sweep is indefinite
         "random8-one-point-left": (g8, at(0.93), True),
     }
@@ -676,24 +679,76 @@ def test_sweeps_raise_a_stalled_solve_deep_in_the_endemic_regime():
     assert outcome(optimal_curing_rate, g, r, 0, 0.01) != "no-interior-optimum"
 
 
-def failing_at_one_scaled_point(monkeypatch, base, factor):
-    """Patch the solver to raise no-convergence where node 0's curing rate is factor times its base value."""
+def failing_at_one_scaled_point(monkeypatch, base, factor, name="solve"):
+    """Patch sensitivity's solver (or its sweep corrector) to raise no-convergence
+    where node 0's curing rate is factor times its base value; returns the
+    list of rates at which the patched function was called."""
+    original = getattr(sensitivity, name)
+    calls = []
 
-    def solve_or_fail(g, rates, *args, **kwargs):
+    def run_or_fail(g, rates, *args, **kwargs):
+        calls.append(rates)
         if np.isclose(rates.delta[0], factor * base.delta[0], rtol=1e-12):
             raise NumericalError("stalled", code="no-convergence")
-        return solve(g, rates, *args, **kwargs)
+        return original(g, rates, *args, **kwargs)
 
-    monkeypatch.setattr(sensitivity, "solve", solve_or_fail)
+    monkeypatch.setattr(sensitivity, name, run_or_fail)
+    return calls
 
 
 def test_convexity_verdicts_raise_a_failed_sweep_solve(monkeypatch):
+    # the corrector fails at node 0's 0.8 point, and so does the solve it falls back to
     g = complete_graph(5)
     r = homogeneous_rates(g, 1.0)
+    corrections = failing_at_one_scaled_point(monkeypatch, r, 0.8, "_corrected")
     failing_at_one_scaled_point(monkeypatch, r, 0.8)
     with pytest.raises(NumericalError) as info:
         convexity_verdicts(g, r)
     assert info.value.code == "no-convergence"
+    assert corrections and np.isclose(corrections[-1].delta[0], 0.8)
+
+
+def test_convexity_verdicts_fall_back_to_solve_where_the_corrector_fails(monkeypatch):
+    g, r, _ = convexity_cases()["random8-leaves-endemic"]
+    expected, _ = loop_convexity_verdicts(g, r)
+    failing_at_one_scaled_point(monkeypatch, r, 0.8, "_corrected")
+    solves = failing_at_one_scaled_point(monkeypatch, r, np.inf)  # counts, never fails
+    assert convexity_verdicts(g, r) == expected
+    # the base state, then the one point the corrector could not reach
+    assert [float(x.delta[0] / r.delta[0]) for x in solves] == pytest.approx([1.0, 0.8], rel=1e-12)
+
+
+def newton_reference(g, rates):
+    """Endemic state by undamped Newton from the componentwise upper bound, 60 steps."""
+    a, beta, delta = g.adjacency, rates.beta, rates.delta
+    gamma = a @ beta
+    v = gamma / (gamma + delta)
+    for _ in range(60):
+        f = a @ (beta * v) - delta * v / (1.0 - v)
+        v = v + np.linalg.solve(np.diag(delta / (1.0 - v) ** 2) - a * beta[None, :], f)
+    return v
+
+
+@pytest.mark.parametrize("name", list(convexity_cases()))
+def test_corrected_sweep_states_match_newton(name, monkeypatch):
+    g, r, _ = convexity_cases()[name]
+    states = []
+    corrected = sensitivity._corrected
+
+    def recording(g, rates, *args):
+        ss = corrected(g, rates, *args)
+        states.append((rates, ss))
+        return ss
+
+    monkeypatch.setattr(sensitivity, "_corrected", recording)
+    convexity_verdicts(g, r)
+    # from an endemic base, both points of every node's downward chain are endemic and corrected
+    base_endemic = solve(g, r, tol=1e-12).regime == "endemic"
+    assert len(states) >= 2 * g.n if base_endemic else not states
+    for rates, ss in states:
+        assert ss.path == "newton" and ss.regime == "endemic" and ss.residual <= 1e-12
+        reference = newton_reference(g, rates)
+        assert np.abs(ss.v_inf - reference).max() <= 1e-11 * np.abs(reference).min()
 
 
 def test_optimal_curing_rate_raises_a_failed_walk_solve(monkeypatch):
@@ -711,12 +766,18 @@ def test_each_endemic_state_is_solved_and_linearized_once(monkeypatch, tmp_path,
     r = random_rates_at(g, rng, 2.0)
     n = g.n
     ss = solve(g, r, tol=1e-12)
-    counts = {"solve": 0, "at": 0}  # solves made by sensitivity or the CLI, and _Linearization.at calls
+    # solves made by sensitivity or the CLI, sweep corrections and _Linearization.at calls
+    counts = {"solve": 0, "corrected": 0, "at": 0}
     at = sensitivity._Linearization.at.__func__
+    corrected = sensitivity._corrected
 
     def counting_solve(*args, **kwargs):
         counts["solve"] += 1
         return solve(*args, **kwargs)
+
+    def counting_corrected(*args):
+        counts["corrected"] += 1
+        return corrected(*args)
 
     def counting_at(cls, *args):
         counts["at"] += 1
@@ -724,21 +785,23 @@ def test_each_endemic_state_is_solved_and_linearized_once(monkeypatch, tmp_path,
 
     monkeypatch.setattr(sensitivity, "solve", counting_solve)
     monkeypatch.setattr(steady_state, "solve", counting_solve)
+    monkeypatch.setattr(sensitivity, "_corrected", counting_corrected)
     monkeypatch.setattr(sensitivity._Linearization, "at", classmethod(counting_at))
-    # the base state, then 4 scaled points per node; the base also serves every sweep's factor 1.0
+    # the base state is solved; the 4 scaled points per node are corrected from
+    # their neighbours; the base also serves every sweep's factor 1.0
     full_report(g, r)
-    assert counts == {"solve": 1 + 4 * n, "at": 1 + 4 * n}
-    counts.update(solve=0, at=0)
+    assert counts == {"solve": 1, "corrected": 4 * n, "at": 1 + 4 * n}
+    counts.update(solve=0, corrected=0, at=0)
     full_report(g, r, ss)
-    assert counts == {"solve": 4 * n, "at": 1 + 4 * n}
+    assert counts == {"solve": 0, "corrected": 4 * n, "at": 1 + 4 * n}
 
     graph, rates = tmp_path / "g.edges", tmp_path / "rates.json"
     graph.write_text(format_edge_list(g))
     rates.write_text(json.dumps({"beta": r.beta.tolist(), "delta": r.delta.tolist()}))
-    counts.update(solve=0, at=0)
+    counts.update(solve=0, corrected=0, at=0)
     assert main(["sensitivity", "--graph", str(graph), "--rates", str(rates)]) == 0
     capsys.readouterr()
-    assert counts == {"solve": 1 + 4 * n, "at": 1 + 4 * n}  # the inverse ledger reads the report's S^{-1}
+    assert counts == {"solve": 1, "corrected": 4 * n, "at": 1 + 4 * n}  # the inverse ledger reads the report's S^{-1}
 
     assert full_report(g, r, ss).convexity == convexity_verdicts(g, r)
 
@@ -865,6 +928,26 @@ def test_s_matrix_accepts_solved_states_approaching_surface():
         expected = np.diag(r.delta / (1.0 - v) ** 2) - g.adjacency * r.beta[None, :]
         assert np.array_equal(s, expected)
         assert s.tobytes() == expected.tobytes()  # +0.0 off the edges, as in expected
+
+
+@pytest.mark.parametrize("name", ["star5", "path6"])
+def test_sensitivity_checks_are_independent_of_the_time_unit(name):
+    # lambda_max(R) = 1.2 and 1.08: the symmetric form of S has its smallest
+    # eigenvalue 0.087 (star) at delta = 1, below an absolute 1e-10 floor once
+    # every rate is 1e-9 times slower
+    g = star_graph(5) if name == "star5" else path_graph(6)
+    reports = {}
+    for unit in (1e-9, 1.0, 1e6):
+        r = RateConfig.for_graph(g, 0.6 * unit, unit)
+        ss = solve(g, r, tol=1e-12)
+        assert np.array_equal(sensitivity_matrix(g, r, ss), full_report(g, r, ss).s_matrix)
+        reports[unit] = full_report(g, r, ss)
+    # S is in units of rate, S^{-1} and d1 of 1 / rate, d2 and M of 1 / rate^2
+    powers = {"s_matrix": -1, "s_inverse": 1, "d1": 1, "d2": 2, "m_matrix": 2}
+    for unit, report in reports.items():
+        for field, power in powers.items():
+            got, expected = getattr(report, field) * unit**power, getattr(reports[1.0], field)
+            assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max(), (unit, field)
 
 
 def solve_reference(g, r, ss):

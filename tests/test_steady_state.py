@@ -344,6 +344,30 @@ def test_newton_iterates_decrease_onto_the_fixed_point(offset, monkeypatch):
         assert np.all(current >= v_ref - 1e-15)
 
 
+@pytest.mark.parametrize("offset", [1e-2, 1e-4])
+def test_corrected_state_is_the_solved_state(offset):
+    # Newton steps from a guess below the fixed point overshoot above it once,
+    # then decrease onto it; the state carries solve's fields and path "newton"
+    g, r, v_ref = near_surface_case(offset)
+    ss = solve(g, r, tol=1e-12)
+    for guess in (0.9 * ss.v_inf, np.minimum(1.5 * ss.v_inf, 0.99)):
+        corrected = steady_state._corrected(g, r, guess, 1e-12)
+        assert corrected.path == "newton" and corrected.regime == "endemic"
+        assert 0 < corrected.iterations <= 10 and corrected.residual <= 1e-12
+        assert np.abs(corrected.v_inf - v_ref).max() <= 1e-11 * v_ref.max()
+        for field in ("v_tilde", "w", "y_inf"):
+            assert np.allclose(getattr(corrected, field), getattr(ss, field), rtol=1e-10, atol=0)
+
+
+def test_corrected_state_refuses_a_guess_outside_the_unit_cube():
+    g = complete_graph(4)
+    r = homogeneous_rates(g, 1.0)
+    for guess in (np.full(4, 0.0), np.full(4, 1.0), np.array([0.5, 0.5, np.nan, 0.5])):
+        with pytest.raises(NumericalError) as info:
+            steady_state._corrected(g, r, guess, 1e-12)
+        assert info.value.code == "no-convergence"
+
+
 def test_newton_finish_raises_at_its_residual_floor():
     g, r, _ = near_surface_case(1e-4)
     with within_seconds(5), pytest.raises(NumericalError, match="stalled at residual floor") as err:
