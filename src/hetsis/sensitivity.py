@@ -20,14 +20,15 @@ with
 to the own-rate derivative through the node-deleted graph, a curvature
 diagnostic matrix, convexity verdicts over curing-rate sweeps, an
 optimal curing rate and a ledger of identities and inequalities on
-S^{-1} all live here.  A sweep walks outward from its base state by
-continuation: each point's state is predicted from the previous point's
-(x, x') and corrected by Newton steps on S, with ``solve`` as the
-fallback.  As v_i is convex in delta_i, the optimum's
-stationarity residual never falls as delta_i rises, so its search walks a
-grid to a sign change, narrows the bracket by safeguarded Newton steps
-and bisects it, inferring the sign at each midpoint outside the band of
-evaluated points instead of solving there.
+S^{-1} all live here.  A state with one curing rate delta_i changed is
+reached by one continuation route, for the convexity sweeps and the
+optimal curing rate alike: it is predicted from a nearby endemic point's
+(x, x') along e_i and corrected by Newton steps on S, with ``solve`` as
+the fallback.  As v_i is convex in delta_i, the optimum's stationarity
+residual never falls as delta_i rises, so its search walks a grid to a
+sign change, narrows the bracket by safeguarded Newton steps and bisects
+it, inferring the sign at each midpoint outside the band of evaluated
+points instead of evaluating it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-_DEADBAND = 1e-8
+_DEADBAND = 1e-8  # convexity dead band on d^2 v / d delta^2 (1 / rate^2), times 1 / (max_i delta_i)^2
 _PD_FLOOR = 1e-10  # smallest eigenvalue the symmetric form of S must exceed, in units of max_i delta_i
 _SOLVE_TOL = 1e-12  # steady-state tolerance of every solve made here
 _OPTIMUM_TOL = 1e-8  # relative bracket width at which the optimal curing rate is returned
@@ -88,11 +89,7 @@ def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarr
     the rates, so scaling every rate scales it with S.
     """
     _require_endemic(ss)
-    return _definite(_jacobian(g, rates, ss.v_inf), rates)
-
-
-def _definite(s: np.ndarray, rates: RateConfig) -> np.ndarray:
-    """sensitivity_matrix's positive-definiteness check on S = s."""
+    s = _jacobian(g, rates, ss.v_inf)
     root = np.sqrt(rates.beta)
     sym = root[:, None] * s / root[None, :]
     if not _definite_above(sym, _PD_FLOOR * float(rates.delta.max())):
@@ -126,9 +123,8 @@ class _Linearization:
     inv: np.ndarray
 
     @classmethod
-    def at(cls, g: Graph, rates: RateConfig, ss: SteadyState, s: np.ndarray | None = None) -> "_Linearization":
-        """Linearization at ss; s, when given, is S at ss from ``_jacobian``, so it is not built again."""
-        s = sensitivity_matrix(g, rates, ss) if s is None else _definite(s, rates)
+    def at(cls, g: Graph, rates: RateConfig, ss: SteadyState) -> "_Linearization":
+        s = sensitivity_matrix(g, rates, ss)
         inv = _near_critical(np.linalg.inv, s)
         cond = float(np.linalg.norm(s, 1) * np.linalg.norm(inv, 1))
         if cond > _COND_LIMIT:
@@ -217,14 +213,9 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     nodes, so f = (beta a)_rest . S_rest^{-1} a_rest.
     """
     _require_endemic(ss)
-    return _schur(g, rates, ss.v_inf, _node(g, i), _jacobian(g, rates, ss.v_inf))
-
-
-def _schur(g: Graph, rates: RateConfig, v: np.ndarray, i: int, s: np.ndarray) -> tuple[float, float]:
-    """schur_derivative at the endemic state v, where S = s."""
-    tau = rates.tau
+    i, v, tau = _node(g, i), ss.v_inf, rates.tau
     rest = np.arange(g.n) != i
-    s_rest = s[np.ix_(rest, rest)]
+    s_rest = _jacobian(g, rates, v)[np.ix_(rest, rest)]
     a_col = g.adjacency[rest, i]
     f = float((rates.beta[rest] * a_col) @ _near_critical(np.linalg.solve, s_rest, a_col))
     if f <= 0:
@@ -245,18 +236,6 @@ def _rates_with(g: Graph, rates: RateConfig, i: int, delta_i: float) -> RateConf
     return RateConfig.for_graph(g, rates.beta, delta)
 
 
-def _with_curing_rate(g: Graph, rates: RateConfig, i: int, delta_i: float):
-    """(rates, steady state) with delta_i at node i; None if extinct or on the surface."""
-    trial = _rates_with(g, rates, i, delta_i)
-    try:
-        ss = solve(g, trial, tol=_SOLVE_TOL)
-    except NumericalError as exc:
-        if exc.code != "critical-threshold":
-            raise
-        return None
-    return (trial, ss) if ss.regime == "endemic" else None
-
-
 def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> float:
     """Curing rate minimizing price * delta_i + v_i at fixed other rates.
 
@@ -268,48 +247,57 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
     of 1e-8, hi - lo <= 1e-8 hi, so the result does not depend on the time
     unit.
 
-    The same monotonicity fixes the sign of r at most midpoints without a
-    solve.  The search keeps a band (a, b) of evaluated points with
-    r(a) <= 0 < r(b): a midpoint at or below a goes low, one at or above b
-    goes high, and only a midpoint inside the band is solved, which then
-    narrows the band.  Before the bisection, safeguarded Newton steps
-    narrow the band from the walked pair, stepping from the band's end
-    with the smaller |r|, where r' = d^2 v_i / d delta_i^2 comes from the
-    linearization.  A step that leaves the band, or is longer than half the
-    step before the last one, or starts from a point that cannot be
-    linearized, is replaced by the band's midpoint.  A step shorter than a
+    The same monotonicity fixes the sign of r at most midpoints without
+    evaluating them.  The search keeps a band (a, b) of evaluated points
+    with r(a) <= 0 < r(b): a midpoint at or below a goes low, one at or
+    above b goes high, and only a midpoint inside the band is evaluated,
+    which then narrows the band.  Before the bisection, safeguarded Newton
+    steps narrow the band from the walked pair, stepping from the evaluated
+    point with the smallest |r| (the pivot), where r' = d^2 v_i / d delta_i^2.
+    A step that leaves the band, or is longer than half the step before the
+    last one, is replaced by the band's midpoint.  A step shorter than a
     quarter of the walked pair's final width is replaced by a quarter width
     across the root, so that the band closes from both sides.  The
     bisection thus takes the same midpoints and returns the same rate as
-    one that solves every midpoint, at about a third of the solves.  The
-    optimum always exceeds (1 - v_i) v_i / price, which is asserted on the
-    result.
+    one that evaluates every midpoint, at about a third of the points.
+
+    Points are reached as the convexity sweeps reach theirs: delta_i itself
+    is solved, each walked point is continued from the last endemic point
+    walked, and each later point (Newton and bisection midpoints, and the
+    optimum) from the pivot.  r and r' are read from the derivatives along
+    e_i that each point's continuation needs anyway; a point whose
+    linearization fails raises ``near-critical``.  The optimum always
+    exceeds (1 - v_i) v_i / price, which is asserted on the result.
     """
     i, price = _node(g, i), _real(price, "price")
     if not np.isfinite(price) or price <= 0:
         raise InputError("price must be strictly positive and finite", code="invalid-argument")
+    unit = np.eye(g.n)[i]
 
-    def point(delta_i: float):
-        """(delta_i, r, (rates, steady state, S)); None if extinct or on the surface."""
-        solved = _with_curing_rate(g, rates, i, delta_i)
-        if solved is None:
+    def point(delta_i: float, near):
+        """(delta_i, r, linearization, its (x, x') along e_i), continued from
+        the point near (solved if None); None if extinct or on the surface."""
+        lin = _continued(g, rates, i, delta_i, *((None, None) if near is None else near[2:]))
+        if lin is None:
             return None
-        trial, ss = solved
-        s = _jacobian(g, trial, ss.v_inf)  # serves the Schur route here and the linearization if this is a pivot
-        return delta_i, price + _schur(g, trial, ss.v_inf, i, s)[1], (trial, ss, s)
+        slopes = lin.along(unit)
+        return delta_i, price + float(slopes[0][i]), lin, slopes
 
     def inside(delta_i: float):
-        """point(delta_i) for a delta_i between two endemic points."""
-        p = point(delta_i)
+        """point(delta_i) from the pivot, for a delta_i between two endemic points."""
+        nonlocal pivot
+        p = point(delta_i, pivot)
         if p is None:
             raise NumericalError("no interior optimum", code="no-interior-optimum")
+        if abs(p[1]) < abs(pivot[1]):
+            pivot = p
         return p
 
     grid = float(rates.delta[i]) * np.geomspace(1e-3, 1e3, 49)  # grid[24] is delta_i itself
-    near = point(float(grid[24]))  # last endemic point walked
+    near = point(float(grid[24]), None)  # last endemic point walked
     step = 1 if near is not None and near[1] < 0.0 else -1
     for x in grid[24 + step :: step]:
-        p = point(float(x))
+        p = point(float(x), near)
         if p is None and near is None:
             continue  # walking down, not yet inside the endemic run
         if p is None or near is not None and (p[1] < 0.0) != (near[1] < 0.0):
@@ -322,16 +310,11 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
     a = lo = low[0]
     b = hi = high[0]
     quarter = 0.25 * _OPTIMUM_TOL * hi
-    unit = np.eye(g.n)[i]
-    pivot, slope = min(low, high, key=lambda q: abs(q[1])), None  # Newton steps start here
+    pivot = min(low, high, key=lambda q: abs(q[1]))  # Newton steps and later continuations start here
     last = before = np.inf  # lengths of the last two steps
     while b - a > 2.0 * quarter:
-        x, r, solved = pivot
-        if slope is None:
-            try:
-                slope = float(_Linearization.at(g, *solved).along(unit)[1][i])
-            except NumericalError:
-                slope = 0.0
+        x, r, _, slopes = pivot
+        slope = float(slopes[1][i])
         target = 0.5 * (a + b)
         if slope > 0.0:
             move = -r / slope
@@ -340,13 +323,10 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
             if a < x + move < b and abs(move) <= 0.5 * before:
                 target = x + move
         last, before = abs(target - x), last
-        p = inside(target)
-        if p[1] <= 0.0:
+        if inside(target)[1] <= 0.0:
             a = target
         else:
             b = target
-        if abs(p[1]) < abs(pivot[1]):
-            pivot, slope = p, None
 
     while hi - lo > _OPTIMUM_TOL * hi:
         mid = 0.5 * (lo + hi)
@@ -361,12 +341,8 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
             hi = mid
     best = 0.5 * (lo + hi)
 
-    solved = _with_curing_rate(g, rates, i, best)
-    if solved is None:
-        raise NumericalError("no interior optimum", code="no-interior-optimum")
-    ss = solved[1]
-    floor = (1.0 - ss.v_inf[i]) * ss.v_inf[i] / price
-    if best <= floor * (1.0 - 1e-9):
+    v_i = inside(best)[2].v[i]
+    if best <= (1.0 - v_i) * v_i / price * (1.0 - 1e-9):
         raise NumericalError("optimum below its structural floor", code="sign-violation")
     return best
 
@@ -374,7 +350,8 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
 def convexity_verdicts(g: Graph, rates: RateConfig) -> list[list[str]]:
     """Per-(k, i) verdicts in {convex, concave, indefinite} from the sign
     of d^2 v_k / d delta_i^2 as delta_i sweeps over delta_i times 0.6,
-    0.8, 1.0, 1.25 and 1.5.
+    0.8, 1.0, 1.25 and 1.5, outside a dead band of 1e-8 / (max_j delta_j)^2,
+    so that the verdicts do not depend on the time unit.
 
     Sweep points that are extinct or on the critical surface are skipped;
     if fewer than two points of a sweep remain, the verdict is
@@ -391,12 +368,14 @@ def convexity_verdicts(g: Graph, rates: RateConfig) -> list[list[str]]:
 def _continued(g: Graph, rates: RateConfig, i: int, delta_i: float, near, slopes) -> _Linearization | None:
     """_Linearization with delta_i at node i; None if extinct or on the surface.
 
-    near is the sweep's previous endemic point and slopes = near.along(e_i):
-    the state is predicted as v + h x + h^2 x'/2 at the step h in delta_i
-    and corrected by Newton steps.  A prediction outside (0, 1) or a failed
-    correction falls back to ``solve``, as does a point with no endemic
-    point before it (near is None: the base itself, or any point of a sweep
-    whose base is not endemic).
+    The one route to a state at a changed curing rate, for the convexity
+    sweeps and for optimal_curing_rate.  near is a nearby endemic point (the
+    sweep's previous point, the last point walked or the search's pivot)
+    and slopes = near.along(e_i): the state is predicted as
+    v + h x + h^2 x'/2 at the step h in delta_i and corrected by Newton
+    steps.  A prediction outside (0, 1) or a failed correction falls back
+    to ``solve``, as does a point with no endemic point to start from (near
+    is None: a base state, or any point before an endemic one is reached).
     """
     trial = _rates_with(g, rates, i, delta_i)
     if _side(effective_adjacency(g, trial.tau)) <= 0:
@@ -434,7 +413,8 @@ def _sweep(g: Graph, rates: RateConfig, base: _Linearization | None) -> list[lis
         if len(columns) >= 2:
             swept[i] = True
             low[:, i], high[:, i] = np.min(columns, axis=0), np.max(columns, axis=0)
-    verdicts = np.where(low >= -_DEADBAND, "convex", np.where(high <= _DEADBAND, "concave", "indefinite"))
+    band = _DEADBAND / float(rates.delta.max()) ** 2
+    verdicts = np.where(low >= -band, "convex", np.where(high <= band, "concave", "indefinite"))
     verdicts[:, ~swept] = "indefinite"
     return verdicts.tolist()
 

@@ -73,7 +73,8 @@ class SteadyState:
     residual is max_i |sum_j a_ij beta_j v_j - v_i delta_i / (1 - v_i)|
     in units of max_i delta_i.  path is "extinct", "map" or "map+newton"
     from ``solve``, or "newton" for a state corrected by Newton steps from
-    an estimate (the convexity sweeps of ``sensitivity``); iterations
+    an estimate (the continuation of ``sensitivity``, which serves its
+    convexity sweeps and its optimal curing rate); iterations
     counts map and Newton steps together.
     """
 

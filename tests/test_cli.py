@@ -348,6 +348,8 @@ def test_import_and_mean_field_paths_leave_scipy_unloaded(triangle_file):
         "hetsis.critical_scaling(g, np.ones(g.n))\n"
         "hetsis.integrate(g, r, np.full(g.n, 0.5), 2.0)\n"
         "hetsis.full_report(g, r)\n"
+        "hetsis.convexity_verdicts(g, r)\n"
+        "hetsis.optimal_curing_rate(g, r, 2, 0.2)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert hetsis.cli.main(['steady', '--graph', {triangle_file!r}, '--tau', '1.5']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

@@ -7,6 +7,7 @@ Closed forms on the triangle with beta = delta = 1 (v = 1/2):
   Schur quantities at any node: f = 2/3, own derivative -0.3
 """
 
+import functools
 import json
 import re
 
@@ -426,7 +427,18 @@ def optimum_cases():
         "star-leaves-endemic-run": (star, star_rates, 0, 1e-4),
         "path-extinct-at-delta": (path, path_rates, 2, 0.3),
         "path-optimum-below-extinct-delta": (path, path_rates, 2, 0.5),
+        "random-walks-to-the-low-end": low_end_case(),
     }
+
+
+@functools.cache
+def low_end_case():
+    """The last of random_optimum_configs(count=115, seed=2024): n = 8,
+    lambda_max(R) = 3.56, node 1 of degree 5 priced at 2.84 |d1_ii|.  r >= 0
+    at every endemic grid point, so the walk goes down to the grid's low
+    end, where v_1 is near 1 and a cold 1e-12 solve stalls at its residual
+    floor; continued from the point above, each point is corrected."""
+    return list(random_optimum_configs(count=115, seed=2024))[-1]
 
 
 @pytest.mark.parametrize(
@@ -441,6 +453,7 @@ def optimum_cases():
         ("star-leaves-endemic-run", "no-interior-optimum"),
         ("path-extinct-at-delta", "no-interior-optimum"),
         ("path-optimum-below-extinct-delta", "below"),
+        ("random-walks-to-the-low-end", "no-interior-optimum"),
     ],
 )
 def test_optimal_curing_rate_matches_eager_scan(name, side):
@@ -470,33 +483,40 @@ def test_optimal_curing_rate_is_independent_of_the_time_unit(name):
     assert abs(fast / 1000.0 - best) <= 1e-8 * best
 
 
-def counted_solves(monkeypatch) -> list:
-    """Patch sensitivity's solver to record its calls in the returned list."""
+def counted_evaluations(monkeypatch) -> list:
+    """Patch sensitivity's solver and its continuation corrector to record
+    each call's name ("solve" or "_corrected") in the returned list."""
     calls = []
+    for name in ("solve", "_corrected"):
+        original = getattr(sensitivity, name)
 
-    def counting_solve(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
+        def counting(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(sensitivity, "solve", counting_solve)
+        monkeypatch.setattr(sensitivity, name, counting)
     return calls
 
 
 @pytest.mark.parametrize("name", ["star-hub", "star-leaf", "random-hub", "k3-below", "path-optimum-below-extinct-delta"])
 def test_optimal_curing_rate_solves_only_the_walked_points(name, monkeypatch):
     g, r, i, price = optimum_cases()[name]
-    calls = counted_solves(monkeypatch)
+    calls = counted_evaluations(monkeypatch)
     optimal_curing_rate(g, r, i, price)
-    # 9-13 here; the eager scan made 75, and solving every bisection midpoint 30-34
+    # delta_i itself is solved and every other point corrected by continuation,
+    # 8-12 evaluations here; the eager scan made 75, and evaluating every
+    # bisection midpoint 30-34
+    assert calls.count("solve") == 1
     assert 0 < len(calls) <= 16
 
 
 @pytest.mark.parametrize("scale, most", [(-1.0, 36), (10.0, 70)])
 def test_optimal_curing_rate_takes_only_its_cost_from_the_slope(scale, most, monkeypatch):
-    # r' only steers the Newton steps; every sign comes from a solved point.
-    # A negated slope makes every step a midpoint, about the 34 solves of a
-    # bisection that solves each midpoint; a tenfold slope makes steps too
-    # short, which the step-halving rule turns into midpoints.
+    # r' only steers the Newton steps (and the continuation's predictions);
+    # every sign comes from an evaluated point.  A negated slope makes every
+    # step a midpoint, about the 34 evaluations of a bisection that evaluates
+    # each midpoint; a tenfold slope makes steps too short, which the
+    # step-halving rule turns into midpoints.
     g, r, i, price = optimum_cases()["star-hub"]
     expected = optimal_curing_rate(g, r, i, price)
     along = sensitivity._Linearization.along
@@ -506,7 +526,7 @@ def test_optimal_curing_rate_takes_only_its_cost_from_the_slope(scale, most, mon
         return x, scale * x2
 
     monkeypatch.setattr(sensitivity._Linearization, "along", misleading)
-    calls = counted_solves(monkeypatch)
+    calls = counted_evaluations(monkeypatch)
     assert optimal_curing_rate(g, r, i, price) == expected
     assert len(calls) <= most
 
@@ -536,14 +556,14 @@ def test_optimal_curing_rate_matches_eager_scan_on_random_configs():
 def residual_profile(monkeypatch, g, r, i, price):
     """(delta_i, dv_i/d delta_i) at every point optimal_curing_rate evaluates."""
     seen = []
-    schur = sensitivity._schur  # the Schur route of schur_derivative, on the S the search builds once per point
+    along = sensitivity._Linearization.along  # called once per evaluated point, along e_i
 
-    def recording(g, rates, v, node, s):
-        f, derivative = schur(g, rates, v, node, s)
-        seen.append((float(rates.delta[node]), derivative))
-        return f, derivative
+    def recording(self, u):
+        x, x2 = along(self, u)
+        seen.append((float(self.delta[i]), float(x[i])))
+        return x, x2
 
-    monkeypatch.setattr(sensitivity, "_schur", recording)
+    monkeypatch.setattr(sensitivity._Linearization, "along", recording)
     outcome(optimal_curing_rate, g, r, i, price)
     monkeypatch.undo()
     return sorted(seen)
@@ -620,14 +640,15 @@ def loop_convexity_verdicts(g, rates, deadband=1e-8):
             signs_max[:, i] = np.maximum(signs_max[:, i], d2)
             counts[i] += 1
     verdicts = []
+    band = deadband / float(rates.delta.max()) ** 2  # d2 is in units of 1 / rate^2
     for k in range(n):
         row = []
         for i in range(n):
             if counts[i] < 2:
                 row.append("indefinite")
-            elif signs_min[k, i] >= -deadband:
+            elif signs_min[k, i] >= -band:
                 row.append("convex")
-            elif signs_max[k, i] <= deadband:
+            elif signs_max[k, i] <= band:
                 row.append("concave")
             else:
                 row.append("indefinite")
@@ -752,12 +773,16 @@ def test_corrected_sweep_states_match_newton(name, monkeypatch):
 
 
 def test_optimal_curing_rate_raises_a_failed_walk_solve(monkeypatch):
+    # the corrector fails at the walk's first step, and so does the solve it falls back to
     g, r, i, price = optimum_cases()["k3-below"]  # walks down from delta_0 = 2
     assert i == 0
-    failing_at_one_scaled_point(monkeypatch, r, np.geomspace(1e-3, 1e3, 49)[23])  # its first step
+    first_step = np.geomspace(1e-3, 1e3, 49)[23]
+    corrections = failing_at_one_scaled_point(monkeypatch, r, first_step, "_corrected")
+    failing_at_one_scaled_point(monkeypatch, r, first_step)
     with pytest.raises(NumericalError) as info:
         optimal_curing_rate(g, r, i, price)
     assert info.value.code == "no-convergence"
+    assert corrections and np.isclose(corrections[-1].delta[0], first_step * r.delta[0])
 
 
 def test_each_endemic_state_is_solved_and_linearized_once(monkeypatch, tmp_path, capsys):
@@ -934,7 +959,9 @@ def test_s_matrix_accepts_solved_states_approaching_surface():
 def test_sensitivity_checks_are_independent_of_the_time_unit(name):
     # lambda_max(R) = 1.2 and 1.08: the symmetric form of S has its smallest
     # eigenvalue 0.087 (star) at delta = 1, below an absolute 1e-10 floor once
-    # every rate is 1e-9 times slower
+    # every rate is 1e-9 times slower; an absolute 1e-8 convexity dead band
+    # gave star5 21 convex cells at unit 1e-9 against 25 at unit 1, and path6
+    # 36 at unit 1e6 against 28
     g = star_graph(5) if name == "star5" else path_graph(6)
     reports = {}
     for unit in (1e-9, 1.0, 1e6):
@@ -948,6 +975,8 @@ def test_sensitivity_checks_are_independent_of_the_time_unit(name):
         for field, power in powers.items():
             got, expected = getattr(report, field) * unit**power, getattr(reports[1.0], field)
             assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max(), (unit, field)
+        # the convexity dead band is in units of 1 / (max_i delta_i)^2, as d2 is
+        assert report.convexity == reports[1.0].convexity, unit
 
 
 def solve_reference(g, r, ss):
