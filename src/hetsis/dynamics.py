@@ -107,17 +107,10 @@ def integrate(
     keeps every accepted step.
     """
     v = _check_state(v0, g.n)
-    t_end = _real(t_end, "t_end")
-    if not np.isfinite(t_end) or t_end < 0:
-        raise InputError("t_end must be non-negative and finite", code="invalid-argument")
+    t_end = _real(t_end, "t_end", 0.0)
     if max_points is not None:
         _integer(max_points, "max_points", 2)
-    if dt_hint is None:
-        h = default_step(rates)
-    else:
-        h = _real(dt_hint, "dt_hint")
-        if not (np.isfinite(h) and h > 0):
-            raise InputError("dt_hint must be positive and finite", code="invalid-argument")
+    h = default_step(rates) if dt_hint is None else _real(dt_hint, "dt_hint", 0.0, strict=True)
 
     k = np.empty((7, g.n))
     k[0] = _rhs(g, rates, v)

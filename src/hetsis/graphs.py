@@ -158,13 +158,19 @@ def _floats(value, name: str, code: str = "invalid-rates") -> np.ndarray:
         raise InputError(f"{name} must be numeric, got {value!r}", code=code) from None
 
 
-def _positive_vector(value, n: int, name: str) -> np.ndarray:
-    """The rate-vector rule: numeric, length n, every entry finite and strictly positive."""
+def _vector(value, n: int, name: str) -> np.ndarray:
+    """The node-vector rule: numeric, length n, every entry finite."""
     arr = _floats(value, name)
     if arr.shape != (n,):
         raise InputError(f"{name} must have length {n}, got shape {arr.shape}", code="length-mismatch")
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} contains non-finite entries", code="invalid-rates")
+    return arr
+
+
+def _positive_vector(value, n: int, name: str) -> np.ndarray:
+    """The rate-vector rule: a node vector (``_vector``) with every entry strictly positive."""
+    arr = _vector(value, n, name)
     if np.any(arr <= 0):
         raise InputError(f"{name} must be strictly positive", code="invalid-rates")
     return arr
@@ -182,13 +188,19 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
-def _real(value, name: str) -> float:
+def _real(value, name: str, minimum: float | None = None, strict: bool = False) -> float:
     """The real-argument rule: a real scalar (an int, a float, a numpy scalar
-    or a 0-d array; a string is refused even when numeric), as a float."""
+    or a 0-d array; a string is refused even when numeric), finite, and at
+    least ``minimum`` (above it if ``strict``) when one is given, as a float."""
     arr = np.asarray(value)
     if arr.ndim != 0 or arr.dtype.kind not in "biuf":
         raise InputError(f"{name} must be a real number, got {value!r}", code="invalid-argument")
-    return float(arr)
+    value = float(arr)
+    past = minimum is not None and (value <= minimum if strict else value < minimum)
+    if past or not np.isfinite(value):
+        bound = "" if minimum is None else f" and {'greater than' if strict else 'at least'} {minimum}"
+        raise InputError(f"{name} must be finite{bound}, got {value}", code="invalid-argument")
+    return value
 
 
 def _node(g: Graph, i) -> int:

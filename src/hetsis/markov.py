@@ -118,9 +118,7 @@ def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.nd
     p0 = _state_vector(chain, p0, "p0")
     if not (np.all(p0 >= 0) and abs(float(p0.sum()) - 1.0) <= 1e-12):  # so a NaN entry fails it
         raise InputError("p0 must be a probability distribution", code="invalid-distribution")
-    t = _real(t, "t")
-    if not np.isfinite(t) or t < 0:
-        raise InputError("t must be non-negative and finite", code="invalid-argument")
+    t = _real(t, "t", 0.0)
 
     rate = chain.uniformization_rate
     mu = rate * t
@@ -281,8 +279,8 @@ def simulate(
     seed.  Replicas advance together in blocks, in the calling thread;
     ``max_workers`` is accepted for compatibility and ignored.
     """
-    horizon, burn_in = _real(horizon, "horizon"), _real(burn_in, "burn_in")
-    if not np.isfinite(horizon) or not np.isfinite(burn_in) or burn_in < 0 or horizon <= burn_in:
+    horizon, burn_in = _real(horizon, "horizon"), _real(burn_in, "burn_in", 0.0)
+    if horizon <= burn_in:
         raise InputError("need 0 <= burn_in < horizon", code="invalid-argument")
     replicas, seed = _integer(replicas, "replicas", 1), _integer(seed, "seed", 0)
 

@@ -33,12 +33,12 @@ points instead of evaluating it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig, _node, _real
+from .graphs import Graph, RateConfig, _frozen_array, _node, _real
 from .spectral import _definite_above, effective_adjacency
 from .steady_state import SteadyState, _corrected, _jacobian, _side, solve
 
@@ -230,10 +230,12 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     return f, derivative
 
 
-def _rates_with(g: Graph, rates: RateConfig, i: int, delta_i: float) -> RateConfig:
-    delta = rates.delta.copy()
+def _rates_with(rates: RateConfig, i: int, delta_i: float) -> RateConfig:
+    """rates with delta_i at node i, not validated again; beta and gamma are shared."""
+    delta, tau = rates.delta.copy(), rates.tau.copy()
     delta[i] = delta_i
-    return RateConfig.for_graph(g, rates.beta, delta)
+    tau[i] = rates.beta[i] / delta[i]
+    return replace(rates, delta=_frozen_array(delta), tau=_frozen_array(tau))
 
 
 def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> float:
@@ -269,9 +271,7 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
     linearization fails raises ``near-critical``.  The optimum always
     exceeds (1 - v_i) v_i / price, which is asserted on the result.
     """
-    i, price = _node(g, i), _real(price, "price")
-    if not np.isfinite(price) or price <= 0:
-        raise InputError("price must be strictly positive and finite", code="invalid-argument")
+    i, price = _node(g, i), _real(price, "price", 0.0, strict=True)
     unit = np.eye(g.n)[i]
 
     def point(delta_i: float, near):
@@ -377,7 +377,7 @@ def _continued(g: Graph, rates: RateConfig, i: int, delta_i: float, near, slopes
     to ``solve``, as does a point with no endemic point to start from (near
     is None: a base state, or any point before an endemic one is reached).
     """
-    trial = _rates_with(g, rates, i, delta_i)
+    trial = _rates_with(rates, i, delta_i)
     if _side(effective_adjacency(g, trial.tau)) <= 0:
         return None  # extinct or on the surface, by the rule of solve
     ss = None

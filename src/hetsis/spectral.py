@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, _floats, _positive_vector
+from .graphs import Graph, _floats, _positive_vector, _vector
 
 __all__ = [
     "GeneralizedLaplacian",
@@ -134,24 +134,14 @@ class GeneralizedLaplacian:
     matrix: np.ndarray = field(repr=False)
 
 
-def _check_weights(g: Graph, q) -> np.ndarray:
-    """The node-weight rule: a vector of length n with every entry finite."""
-    q = _floats(q, "q")
-    if q.shape != (g.n,):
-        raise InputError(f"q must have length {g.n}, got shape {q.shape}", code="length-mismatch")
-    if not np.all(np.isfinite(q)):
-        raise InputError("q contains non-finite entries", code="invalid-rates")
-    return q
-
-
 def generalized_laplacian(g: Graph, q: np.ndarray) -> GeneralizedLaplacian:
-    q = _check_weights(g, q)
+    q = _vector(q, g.n, "q")
     matrix = np.diag(q) - g.adjacency
     return GeneralizedLaplacian(q=q, matrix=matrix)
 
 
 def gerschgorin_intervals(g: Graph, q: np.ndarray) -> np.ndarray:
     """Per-row eigenvalue enclosures [q_i - d_i, q_i + d_i], shape (n, 2)."""
-    q = _check_weights(g, q)
+    q = _vector(q, g.n, "q")
     d = g.degrees.astype(float)
     return np.column_stack([q - d, q + d])

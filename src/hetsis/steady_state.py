@@ -195,9 +195,7 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
     (0, 1) or reaches max_iter steps in all raises ``no-convergence``.
     tol must be positive and finite, max_iter a non-negative integer.
     """
-    tol = _real(tol, "tol")
-    if not 0.0 < tol < np.inf:
-        raise InputError(f"tol must be positive and finite, got {tol!r}", code="invalid-argument")
+    tol = _real(tol, "tol", 0.0, strict=True)
     max_iter = _integer(max_iter, "max_iter", 0)
     side = _side(effective_adjacency(g, rates.tau))
     if side == 0:

@@ -154,8 +154,6 @@ def critical_perturbation(h2: float, n: int) -> float:
     homogeneous complete-graph configuration on the critical surface:
     h1 = -h2 / (1 + 2 ((n-1)/n) h2)."""
     n, h2 = _integer(n, "n", 2), _real(h2, "h2")
-    if not np.isfinite(h2):
-        raise InputError("h2 must be finite", code="invalid-argument")
     denom = 1.0 + 2.0 * ((n - 1.0) / n) * h2
     if abs(denom) < 1e-12:
         raise InputError("perturbation pole", code="perturbation-pole")

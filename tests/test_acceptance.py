@@ -48,6 +48,7 @@ from conftest import (
     random_connected_graph,
     random_rates_at,
     star_graph,
+    subprocess_env,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -417,8 +418,8 @@ def test_a10_cli_byte_determinism(tmp_path):
     ]
     for argv in commands:
         full = [sys.executable, "-m", "hetsis.cli", *argv]
-        first = subprocess.run(full, capture_output=True, check=True)
-        second = subprocess.run(full, capture_output=True, check=True)
+        first = subprocess.run(full, capture_output=True, check=True, env=subprocess_env())
+        second = subprocess.run(full, capture_output=True, check=True, env=subprocess_env())
         assert first.stdout, argv[0]
         assert first.stdout == second.stdout, argv[0]
     _ok("10 cli-byte-determinism")

@@ -326,8 +326,8 @@ def test_oracle_no_survivors_exits_3(capsys, path3_file):
 
 def test_entry_point_byte_identical(triangle_file):
     argv = [sys.executable, "-m", "hetsis.cli", "steady", "--graph", triangle_file, "--tau", "1.5"]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    first = subprocess.run(argv, capture_output=True, check=True, env=subprocess_env())
+    second = subprocess.run(argv, capture_output=True, check=True, env=subprocess_env())
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
 

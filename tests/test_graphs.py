@@ -1,5 +1,7 @@
 """Graph construction, edge-list parsing, and rate configuration."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +109,41 @@ def test_non_numeric_arguments_raise_typed_errors(name):
     with pytest.raises(InputError) as info:
         call()
     assert info.value.code == code
+
+
+def real_argument_calls():
+    """name: (call on the value, a value just past its bound or None, its inclusive bound or None)."""
+    g = complete_graph(3)
+    r = RateConfig.for_graph(g, 3.0, 1.0)
+    chain = build_exact_chain(g, r)
+    p0, v0 = np.eye(8)[7], np.full(3, 0.5)
+    below_zero = np.nextafter(0.0, -1.0)
+    return {
+        "tol": (lambda x: solve(g, r, x), 0.0, None),
+        "t_end": (lambda x: integrate(g, r, v0, x), below_zero, 0.0),
+        "dt_hint": (lambda x: integrate(g, r, v0, 1.0, dt_hint=x), 0.0, None),
+        "t": (lambda x: transient_distribution(chain, p0, x), below_zero, 0.0),
+        "burn_in": (lambda x: simulate(g, r, 4.0, x, 4, 0), below_zero, 0.0),
+        "horizon": (lambda x: simulate(g, r, x, 1.0, 4, 0), 1.0, None),  # must exceed burn_in
+        "price": (lambda x: optimal_curing_rate(g, r, 0, x), 0.0, None),
+        "h2": (lambda x: critical_perturbation(x, 3), None, None),  # finite is its only bound
+    }
+
+
+@pytest.mark.parametrize("name", list(real_argument_calls()))
+def test_real_arguments_refuse_non_finite_and_out_of_bound_values(name):
+    call, past, _ = real_argument_calls()[name]
+    for value in [np.nan, np.inf, -np.inf] + ([] if past is None else [past]):
+        with pytest.raises(InputError) as info:
+            call(value)
+        assert info.value.code == "invalid-argument", value
+        assert re.search(rf"\b{name}\b", str(info.value)), (value, str(info.value))
+
+
+@pytest.mark.parametrize("name", ["t_end", "t", "burn_in"])
+def test_real_arguments_accept_their_inclusive_bound(name):
+    call, _, bound = real_argument_calls()[name]
+    call(bound)
 
 
 def test_adjacency_is_immutable():

@@ -1,13 +1,12 @@
 """The scripts under scripts/ run to completion at small sizes."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import hetsis
+from conftest import subprocess_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -17,8 +16,6 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     [["convexity_sweep.py", "--points", "5"], ["critical_surface.py"], ["accuracy_envelope.py", "--scale", "0.1"]],
 )
 def test_script_exits_0(argv):
-    src = str(Path(hetsis.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]], env=env, capture_output=True, timeout=60)
+    done = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]], env=subprocess_env(), capture_output=True, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout

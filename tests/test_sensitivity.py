@@ -772,6 +772,22 @@ def test_corrected_sweep_states_match_newton(name, monkeypatch):
         assert np.abs(ss.v_inf - reference).max() <= 1e-11 * np.abs(reference).min()
 
 
+def test_trial_rates_equal_a_validated_configuration():
+    rng = np.random.default_rng(12)
+    g = random_connected_graph(9, rng)
+    r = random_rates_at(g, rng, 2.5)
+    for i in range(g.n):
+        delta_i = r.delta[i] * rng.uniform(1e-3, 1e3)
+        delta = r.delta.copy()
+        delta[i] = delta_i
+        expected = RateConfig.for_graph(g, r.beta, delta)
+        trial = sensitivity._rates_with(r, i, delta_i)
+        for name in ("beta", "delta", "tau", "gamma"):
+            value = getattr(trial, name)
+            assert np.array_equal(value, getattr(expected, name)), (i, name)
+            assert not value.flags.writeable, (i, name)
+
+
 def test_optimal_curing_rate_raises_a_failed_walk_solve(monkeypatch):
     # the corrector fails at the walk's first step, and so does the solve it falls back to
     g, r, i, price = optimum_cases()["k3-below"]  # walks down from delta_0 = 2
