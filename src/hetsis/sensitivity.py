@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _frozen_array, _node, _real
-from .spectral import _definite_above, effective_adjacency
+from .spectral import _below, effective_adjacency
 from .steady_state import SteadyState, _corrected, _jacobian, _side, solve
 
 __all__ = [
@@ -92,7 +92,7 @@ def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarr
     s = _jacobian(g, rates, ss.v_inf)
     root = np.sqrt(rates.beta)
     sym = root[:, None] * s / root[None, :]
-    if not _definite_above(sym, _PD_FLOOR * float(rates.delta.max())):
+    if not _below(-sym, -_PD_FLOOR * float(rates.delta.max())):
         smallest = float(np.linalg.eigvalsh(sym)[0])
         raise NumericalError(
             f"sensitivity matrix not positive definite (smallest eigenvalue {smallest:.3e}); "

@@ -84,11 +84,11 @@ def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, x
 
 
-def _definite_above(m: np.ndarray, floor: float) -> bool:
-    """Whether every eigenvalue of the symmetric m exceeds floor, that is,
-    whether m - floor I has a Cholesky factorization."""
-    shifted = m.copy()
-    shifted.flat[:: m.shape[0] + 1] -= floor
+def _below(m: np.ndarray, c: float) -> bool:
+    """Whether every eigenvalue of the symmetric m is below c, that is,
+    whether c I - m has a Cholesky factorization."""
+    shifted = np.negative(m)
+    shifted.flat[:: m.shape[0] + 1] += c
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -108,9 +108,8 @@ def _lambda_max(m: np.ndarray) -> float:
     """
     eigenvalues = _eigen(np.linalg.eigvalsh, m)
     lam = float(eigenvalues[-1])
-    # lambda_max < c exactly when -m has every eigenvalue above -c
-    minus_m, width = -m, 1e-10 * abs(lam)
-    if not _definite_above(minus_m, -(lam + width)) or _definite_above(minus_m, -(lam - width)):
+    width = 1e-10 * abs(lam)
+    if not _below(m, lam + width) or _below(m, lam - width):
         raise NumericalError(f"eigenvalue {lam!r} fails its inertia certificate", code="no-convergence")
     _check_simple(eigenvalues)
     return lam
@@ -123,7 +122,9 @@ def effective_adjacency(g: Graph, tau: np.ndarray) -> np.ndarray:
     mean-field model, above one in the endemic regime.
     """
     root = np.sqrt(_positive_vector(tau, g.n, "tau"))
-    return root[:, None] * g.adjacency * root[None, :]
+    r = root[:, None] * g.adjacency
+    r *= root[None, :]
+    return r
 
 
 @dataclass(frozen=True, eq=False)

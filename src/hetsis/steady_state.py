@@ -12,16 +12,18 @@ point (Lajmanovich & Yorke 1976), the largest root of
 from the componentwise upper bound v_i = 1 - 1/(1 + gamma_i/delta_i).
 Successive iterates decrease monotonically onto the largest fixed point,
 so the k-th iterate equals the depth-k truncation of the underlying
-continued-fraction representation of v_i.  Near the critical surface
-the map contracts only at a rate of about 1 - (lambda_max(R) - 1), so
-once the contraction observed in successive residuals predicts a long
-run, ``solve`` switches to Newton steps v <- v + S^{-1} F(v), with S =
-diag(delta/(1 - v)^2) - A diag(beta) the Jacobian of -F.  -F is convex
-for v < 1, S has a nonnegative inverse there and every map iterate has
-F <= 0, so the Newton iterates also decrease monotonically onto the
-fixed point (the monotone Newton theorem, Ortega & Rheinboldt 1970,
-13.3).  The regime comes from two Cholesky attempts, not an eigensolve:
-lambda_max(R) < c exactly when c I - R is positive definite.
+continued-fraction representation of v_i.  The map's error is about
+residual / (1 - rho), rho the contraction seen in successive residuals,
+and the map stops once that meets the tolerance.  Near the critical
+surface rho is about 1 - (lambda_max(R) - 1), so once rho predicts a
+long run or the residual stops falling, ``solve`` switches to Newton
+steps v <- v + S^{-1} F(v), with S = diag(delta/(1 - v)^2) - A diag(beta)
+the Jacobian of -F.  -F is convex for v < 1, S has a nonnegative inverse
+there and every map iterate has F <= 0, so the Newton iterates also
+decrease monotonically onto the fixed point (the monotone Newton
+theorem, Ortega & Rheinboldt 1970, 13.3).  The regime comes from two
+Cholesky attempts, not an eigensolve: lambda_max(R) < c exactly when
+c I - R is positive definite.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _integer, _real
-from .spectral import _definite_above, effective_adjacency
+from .spectral import _below, effective_adjacency
 
 __all__ = [
     "SteadyState",
@@ -58,11 +60,9 @@ def _side(r: np.ndarray) -> int:
     1 - CRITICAL_BAND, 0 (on the surface) in between.  No eigensolve: (1 +/-
     CRITICAL_BAND) I - r has a Cholesky factorization exactly when
     lambda_max(r) is below 1 +/- CRITICAL_BAND."""
-    # lambda_max(r) < c exactly when -r has every eigenvalue above -c
-    minus_r = -r
-    if not _definite_above(minus_r, -(1.0 + CRITICAL_BAND)):
+    if not _below(r, 1.0 + CRITICAL_BAND):
         return 1
-    return -1 if _definite_above(minus_r, -(1.0 - CRITICAL_BAND)) else 0
+    return -1 if _below(r, 1.0 - CRITICAL_BAND) else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,28 +112,26 @@ def _no_convergence(tol: float, k: int, residual: float, stalled: bool) -> Numer
 
 
 def _iterate(g: Graph, rates: RateConfig, tol: float, max_iter: int):
-    """Map iterates from _upper_start until the residual meets tol: (v, steps, residual, converged).
+    """Map iterates from _upper_start until the error bound meets tol: (v, steps, residual, converged).
 
-    Returns unconverged once the contraction observed over the last two
-    steps predicts more than _NEWTON_AFTER further steps.
+    The error is about residual / (1 - rho), rho = sqrt(residual/earlier)
+    the contraction over the last two steps (0 on the first two).  Returns
+    unconverged once rho >= 1 or rho predicts > _NEWTON_AFTER more steps.
     """
     delta = rates.delta
     scale = float(delta.max())
-    previous = last = earlier = None
+    last = earlier = np.inf
     for k, (v, pressure) in enumerate(_orbit(g, rates, _upper_start(rates))):
         residual = float(np.abs(pressure - v * delta / (1.0 - v)).max()) / scale
-        if residual <= tol:
+        rho = np.sqrt(residual / earlier)
+        if residual <= tol * (1.0 - rho):
             return v, k, residual, True
-        # an iterate the map returns unchanged is final; compare arrays only when the residual repeats
-        stalled = residual == last and np.array_equal(v, previous)
-        if stalled or k == max_iter:
-            raise _no_convergence(tol, k, residual, stalled)
-        # at the contraction rho = sqrt(residual/earlier) of the last two steps (the
-        # residual may alternate), log(tol/residual) / log(rho) more steps are due
-        if earlier is not None and residual < earlier:
-            if 2.0 * np.log(tol / residual) < _NEWTON_AFTER * np.log(residual / earlier):
-                return v, k, residual, False
-        previous, earlier, last = v, last, residual
+        if k == max_iter:
+            raise _no_convergence(tol, k, residual, False)
+        # log(tol (1 - rho) / residual) / log(rho) more steps are due
+        if rho >= 1.0 or 0.0 < rho and np.log(tol * (1.0 - rho) / residual) < _NEWTON_AFTER * np.log(rho):
+            return v, k, residual, False
+        earlier, last = last, residual
 
 
 def _jacobian(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
@@ -146,11 +144,14 @@ def _jacobian(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
 
 def _newton_orbit(g: Graph, rates: RateConfig, v: np.ndarray):
     """Newton iterates v <- v + S^{-1} F(v) from v, each with F(v) and the
-    size max|S^{-1} F| of the step that led to it (inf for v itself)."""
+    size max|S^{-1} F| of the step that led to it (inf for v itself).
+    An iterate outside (0, 1), v itself included, raises ``no-convergence``."""
     a = g.adjacency
     beta, delta = rates.beta, rates.delta
     step = np.inf
     while True:
+        if not 0.0 < v.min() <= v.max() < 1.0:  # also false when an entry is nan
+            raise NumericalError("Newton iterate outside (0, 1)", code="no-convergence")
         f = a @ (beta * v) - v * delta / (1.0 - v)
         yield v, f, step
         try:
@@ -158,8 +159,6 @@ def _newton_orbit(g: Graph, rates: RateConfig, v: np.ndarray):
         except np.linalg.LinAlgError:
             raise NumericalError("Newton system singular", code="no-convergence") from None
         v, step = v + increment, float(np.abs(increment).max())
-        if not 0.0 < v.min() <= v.max() < 1.0:  # also false when an entry is nan
-            raise NumericalError("Newton iterate left (0, 1)", code="no-convergence")
 
 
 def _newton_finish(g: Graph, rates: RateConfig, v: np.ndarray, k: int, tol: float, max_iter: int):
@@ -187,12 +186,14 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
     problem is degenerate and an error is raised.  Both are decided by
     Cholesky factorizations of (1 +/- 1e-9) I - R.  Above the surface the
     endemic fixed point is found by monotone iteration from the upper
-    bound (path "map"), which stops once the residual, in units of
-    max_i delta_i, is at most tol.  When the contraction of the residual
-    over the last two map steps predicts more than 200 further steps,
-    Newton steps take over (path "map+newton") and stop once the residual
-    and the last step are both at most tol.  An iterate that stalls above tol, leaves
-    (0, 1) or reaches max_iter steps in all raises ``no-convergence``.
+    bound (path "map"), which stops once its error bound residual / (1 -
+    rho) is at most tol: the residual in units of max_i delta_i, rho its
+    contraction over the last two steps.  When rho >= 1 or rho predicts
+    more than 200 further steps, Newton steps take over (path
+    "map+newton") and stop once the residual and the last step are both
+    at most tol.  A Newton step no smaller than the one before it (a
+    stall), an iterate outside (0, 1) or max_iter steps raise
+    ``no-convergence``.
     tol must be positive and finite, max_iter a non-negative integer.
     """
     tol = _real(tol, "tol", 0.0, strict=True)
@@ -213,11 +214,9 @@ def _corrected(g: Graph, rates: RateConfig, guess: np.ndarray, tol: float) -> St
 
     The caller has decided that rates are endemic.  Stops as the Newton
     finish of ``solve`` does, once the residual and the last step are both
-    at most tol; a guess outside (0, 1) and every failure of the steps
-    raise ``no-convergence``.
+    at most tol; every failure of the steps, a guess outside (0, 1)
+    included, raises ``no-convergence`` from ``_newton_orbit``.
     """
-    if not 0.0 < guess.min() <= guess.max() < 1.0:  # also false when an entry is nan
-        raise NumericalError("Newton start outside (0, 1)", code="no-convergence")
     return _steady_state(g, rates, *_newton_finish(g, rates, guess, 0, tol, _MAX_ITER), "newton")
 
 

@@ -148,10 +148,10 @@ def test_node_weights_checked_by_one_rule(build, q, code):
     assert info.value.code == code
 
 
-def test_definite_above_leaves_its_input_unchanged():
+def test_below_leaves_its_input_unchanged():
     m = complete_graph(3).adjacency + np.diag([1.0, 2.0, 3.0])  # eigenvalues about 0.32, 1.46, 4.21
     kept = m.copy()
-    assert spectral._definite_above(m, 0.3) and not spectral._definite_above(m, 0.35)
+    assert spectral._below(m, 4.25) and not spectral._below(m, 4.2)
     assert m.tobytes() == kept.tobytes()
 
 

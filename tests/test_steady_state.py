@@ -83,6 +83,21 @@ def near_surface_case(offset: float):
     return g, r, newton_reference(g.adjacency, r.beta, r.delta)
 
 
+def recorded_newton_iterates(monkeypatch) -> list:
+    """Patch steady_state._newton_orbit so that every iterate it yields is
+    appended to the returned list."""
+    iterates = []
+    orbit = steady_state._newton_orbit
+
+    def recording(*args):
+        for item in orbit(*args):
+            iterates.append(item[0])
+            yield item
+
+    monkeypatch.setattr(steady_state, "_newton_orbit", recording)
+    return iterates
+
+
 def test_triangle_unit_rates():
     g = complete_graph(3)
     ss = solve(g, RateConfig.for_graph(g, 1.0, 1.0))
@@ -135,14 +150,17 @@ def test_critical_configuration_is_an_error():
         solve(g, RateConfig.for_graph(g, 0.5, 1.0))
 
 
-def test_stalled_iteration_raises_at_its_residual_floor():
+def test_stalled_iteration_raises_at_its_residual_floor(monkeypatch):
     # from iteration 7 the map returns its input exactly, with the residual
-    # 1.95e-12 above tol; the solver used to run on to max_iter (about 5 s)
+    # 1.95e-12 above tol; the map hands that repeating iterate to Newton,
+    # whose stall rule (a step no smaller than the one before) raises
     g = star_graph(5)
     r = RateConfig.for_graph(g, 2.0, [1e-3, 1.0, 1.0, 1.0, 1.0])
+    iterates = recorded_newton_iterates(monkeypatch)
     with within_seconds(1), pytest.raises(NumericalError, match=r"tolerance 1e-12 .*stalled at residual floor") as err:
         solve(g, r, tol=1e-12)
     assert err.value.code == "no-convergence"
+    assert iterates
     assert solve(g, r, tol=1e-11).residual <= 1e-11  # the floor sits between the two tolerances
 
 
@@ -324,18 +342,21 @@ def test_solve_matches_newton_reference_near_the_surface(offset):
     assert ss.path == "map+newton"
 
 
+@pytest.mark.parametrize("tol, bound", [(1e-10, 1e-9), (1e-12, 1e-11)])
+@pytest.mark.parametrize("offset", [0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.5])
+def test_solve_error_is_bounded_across_the_surface(offset, tol, bound):
+    # the map stops on its error bound residual / (1 - rho), not on the residual
+    # alone, which left 7.9e-9 relative at offset 0.1 and tol 1e-10; either
+    # path may finish (offset 0.1 at tol 1e-12 hands over to Newton)
+    g, r, v_ref = near_surface_case(offset)
+    ss = solve(g, r, tol=tol)
+    assert np.abs(ss.v_inf - v_ref).max() <= bound * v_ref.max()
+
+
 @pytest.mark.parametrize("offset", [1e-2, 1e-3, 1e-4])
 def test_newton_iterates_decrease_onto_the_fixed_point(offset, monkeypatch):
     g, r, v_ref = near_surface_case(offset)
-    iterates = []
-    orbit = steady_state._newton_orbit
-
-    def recording(*args):
-        for item in orbit(*args):
-            iterates.append(item[0])
-            yield item
-
-    monkeypatch.setattr(steady_state, "_newton_orbit", recording)
+    iterates = recorded_newton_iterates(monkeypatch)
     ss = solve(g, r)
     assert ss.path == "map+newton" and len(iterates) >= 3
     assert iterates[-1] is ss.v_inf
