@@ -193,7 +193,21 @@ def _run_block(
     """
     n, size = g.n, len(keys)
     adjacency, beta, delta = g.adjacency, rates.beta, rates.delta
-    streams = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
+    # one Philox serves every replica: replica k's stream is Philox(key=k), and
+    # its state is saved after each refill and set again before the next
+    bits = np.random.Philox(key=0)
+    stream = np.random.Generator(bits)
+    states = [
+        {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key % 2**64, key >> 64], np.uint64)},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,  # empty
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for key in keys
+    ]
     # draws stay indexed by block row; live replicas read column step % _CHUNK
     waits = np.empty((size, _CHUNK))
     picks = np.empty((size, _CHUNK))
@@ -218,8 +232,10 @@ def _run_block(
         if column == 0:
             # each stream yields a chunk of exponentials, then one of uniforms
             for replica in live:
-                streams[replica].standard_exponential(out=waits[replica])
-                streams[replica].random(out=picks[replica])
+                bits.state = states[replica]
+                stream.standard_exponential(out=waits[replica])
+                stream.random(out=picks[replica])
+                states[replica] = bits.state
         np.multiply(pressure, ~infected & (exposed > 0), out=rate[:, n:])
         cumulative = np.cumsum(rate, axis=1)
         total = cumulative[:, -1]
@@ -283,6 +299,8 @@ def simulate(
     if horizon <= burn_in:
         raise InputError("need 0 <= burn_in < horizon", code="invalid-argument")
     replicas, seed = _integer(replicas, "replicas", 1), _integer(seed, "seed", 0)
+    if seed >= 2**128:  # a Philox key has two 64-bit words
+        raise InputError(f"seed must be below 2**128, got {seed}", code="invalid-argument")
 
     occupancy = np.empty((replicas, g.n))
     survived = np.empty(replicas, dtype=bool)

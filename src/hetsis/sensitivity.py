@@ -24,11 +24,13 @@ S^{-1} all live here.  A state with one curing rate delta_i changed is
 reached by one continuation route, for the convexity sweeps and the
 optimal curing rate alike: it is predicted from a nearby endemic point's
 (x, x') along e_i and corrected by Newton steps on S, with ``solve`` as
-the fallback.  As v_i is convex in delta_i, the optimum's stationarity
-residual never falls as delta_i rises, so its search walks a grid to a
-sign change, narrows the bracket by safeguarded Newton steps and bisects
-it, inferring the sign at each midpoint outside the band of evaluated
-points instead of evaluating it.
+the fallback.  The sweeps take that route for every node at once, one
+row per node and chain in numpy stacks, and a row that fails in the
+stack takes it alone.  As v_i is convex in delta_i, the optimum's
+stationarity residual never falls as delta_i rises, so its search walks
+a grid to a sign change, narrows the bracket by safeguarded Newton steps
+and bisects it, inferring the sign at each midpoint outside the band of
+evaluated points instead of evaluating it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _frozen_array, _node, _real
 from .spectral import _below, effective_adjacency
-from .steady_state import SteadyState, _corrected, _jacobian, _side, solve
+from .steady_state import SteadyState, _corrected, _corrected_stack, _jacobian, _side, _stacked, solve
 
 __all__ = [
     "SensitivityReport",
@@ -62,6 +64,7 @@ _SOLVE_TOL = 1e-12  # steady-state tolerance of every solve made here
 _OPTIMUM_TOL = 1e-8  # relative bracket width at which the optimal curing rate is returned
 _LEDGER_TOL = 1e-9  # relative slack of the inverse-matrix ledger
 _CHAINS = ((1.25, 1.5), (0.8, 0.6))  # factors on delta_i along node i's convexity sweep, outward from the base 1.0
+_STACK_DOUBLES = 2**20  # doubles in one n x n stack of the sweeps: max(1, this // n^2) nodes advance together
 
 
 def _require_endemic(ss: SteadyState) -> None:
@@ -360,7 +363,10 @@ def convexity_verdicts(g: Graph, rates: RateConfig) -> list[list[str]]:
     state is solved and linearized once and serves every node's sweep.
     The other points are reached by continuation from it, outward in two
     chains (1.0, 1.25, 1.5 and 1.0, 0.8, 0.6): each is predicted to second
-    order from the point before and corrected by Newton steps.
+    order from the point before and corrected by Newton steps.  Both chain
+    steps advance every node's sweep together as numpy stacks, each row with
+    its own regime test, Newton stop and checks; a row that fails there is
+    reached alone, by ``solve`` if need be, and raises that route's error.
     """
     return _sweep(g, rates, _continued(g, rates, 0, rates.delta[0], None, None))  # the rates as given
 
@@ -394,29 +400,113 @@ def _continued(g: Graph, rates: RateConfig, i: int, delta_i: float, near, slopes
 
 
 def _sweep(g: Graph, rates: RateConfig, base: _Linearization | None) -> list[list[str]]:
-    """convexity_verdicts with the base state's linearization given (None if not endemic)."""
+    """convexity_verdicts with the base state's linearization given (None if not endemic).
+
+    The sweeps advance together: one row per node and chain, in chunks of at
+    most max(1, _STACK_DOUBLES // n^2) rows, each chain step of a chunk being
+    one _advance.
+    """
     n = g.n
-    units = np.eye(n)
-    low = np.zeros((n, n))
-    high = np.zeros((n, n))
-    swept = np.zeros(n, dtype=bool)  # at least two endemic sweep points
-    for i in range(n):
-        start = None if base is None else base.along(units[i])
-        columns = [] if start is None else [start[1]]
-        for chain in _CHAINS:
-            near, slopes = base, start
-            for scale in chain:
-                near = _continued(g, rates, i, rates.delta[i] * scale, near, slopes)
-                if near is not None:
-                    slopes = near.along(units[i])
-                    columns.append(slopes[1])
-        if len(columns) >= 2:
-            swept[i] = True
-            low[:, i], high[:, i] = np.min(columns, axis=0), np.max(columns, axis=0)
+    low = np.full((n, n), np.inf)
+    high = np.full((n, n), -np.inf)
+    points = np.zeros(n, dtype=int)  # endemic sweep points of each node
+
+    def record(nodes, curvature, endemic):
+        cols = nodes[endemic]
+        np.minimum.at(low.T, cols, curvature[endemic])
+        np.maximum.at(high.T, cols, curvature[endemic])
+        np.add.at(points, cols, 1)
+
+    nodes = np.tile(np.arange(n), len(_CHAINS))  # row k follows node nodes[k] along chain factors[k]
+    factors = np.repeat(np.array(_CHAINS), n, axis=0)
+    if base is None:  # no row has an endemic point to start from
+        fields = (np.full(n, np.nan),) * 2 + (np.full((n, n), np.nan),) * 2
+        slopes = (np.full((n, n), np.nan),) * 2
+    else:
+        fields, slopes = (base.v, base.delta, base.s, base.inv), base.along(np.eye(n))  # column i along e_i
+        record(np.arange(n), slopes[1].T, np.ones(n, dtype=bool))
+    origin = tuple(np.broadcast_to(f, (n,) + f.shape) for f in fields) + tuple(f.T for f in slopes)
+    size = max(1, _STACK_DOUBLES // n**2)
+    for first in range(0, len(nodes), size):
+        rows = slice(first, first + size)
+        near = tuple(f[nodes[rows]] for f in origin)
+        endemic = np.full(len(near[0]), base is not None)
+        for factor in factors[rows].T:
+            near, endemic = _advance(g, rates, nodes[rows], factor, near, endemic)
+            record(nodes[rows], near[5], endemic)
     band = _DEADBAND / float(rates.delta.max()) ** 2
     verdicts = np.where(low >= -band, "convex", np.where(high <= band, "concave", "indefinite"))
-    verdicts[:, ~swept] = "indefinite"
+    verdicts[:, points < 2] = "indefinite"
     return verdicts.tolist()
+
+
+def _rates_with_stack(rates: RateConfig, nodes: np.ndarray, delta_i: np.ndarray) -> RateConfig:
+    """_rates_with for a stack: row k is rates with delta_i[k] at node nodes[k],
+    in delta and tau with a leading axis; beta and gamma are shared."""
+    k = np.arange(len(nodes))
+    delta = np.tile(rates.delta, (len(nodes), 1))
+    tau = np.tile(rates.tau, (len(nodes), 1))
+    delta[k, nodes] = delta_i
+    tau[k, nodes] = rates.beta[nodes] / delta_i
+    return replace(rates, delta=delta, tau=tau)
+
+
+def _advance(g: Graph, rates: RateConfig, nodes: np.ndarray, scale: np.ndarray, near: tuple, endemic: np.ndarray):
+    """One chain step of sweeps: row k moves node i = nodes[k] to delta_i times scale[k].
+
+    near holds each row's previous sweep point as stacks (v, delta, S,
+    S^{-1}, x, x'), with (x, x') along e_i, valid where endemic is True.
+    The rows with an endemic previous point advance together: each row's
+    regime comes from _side, its state is predicted as _continued predicts
+    it and corrected by _corrected_stack, and the stack is linearized with
+    the tests of _Linearization.at and the sign test of along.  Every other
+    row, and every row that fails one of those steps, is reached by
+    _continued, which raises its route's error.  Returns (near, endemic) at
+    the new points, endemic False where a point is extinct or on the
+    surface.
+    """
+    n, delta_i = g.n, rates.delta[nodes] * scale
+    out = tuple(np.full(f.shape, np.nan) for f in near)
+    fallback = ~endemic
+
+    live = np.flatnonzero(endemic)
+    trial = _rates_with_stack(rates, nodes[live], delta_i[live])
+    root = np.sqrt(trial.tau)
+    r = root[:, :, None] * g.adjacency  # effective_adjacency of each row
+    r *= root[:, None, :]
+    above = np.array([_side(m) > 0 for m in r], dtype=bool)  # the regime by the rule of solve
+    live, trial = live[above], replace(trial, delta=trial.delta[above], tau=trial.tau[above])
+    v, delta, _, _, x, curvature = (f[live] for f in near)
+    h = (delta_i[live] - delta[np.arange(len(live)), nodes[live]])[:, None]
+    v, residual = _corrected_stack(g, trial, v + h * x + 0.5 * h**2 * curvature, _SOLVE_TOL)
+
+    s = _jacobian(g, trial, v)
+    root = np.sqrt(rates.beta)
+    shifted = root[:, None] * s / root[None, :]  # the symmetric form of S, less the PD floor
+    shifted.reshape(len(s), n * n)[:, :: n + 1] -= _PD_FLOOR * trial.delta.max(axis=1)[:, None]
+    inv, invertible = _stacked(np.linalg.inv, s)
+    cond = np.abs(s).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)  # 1-norms
+    k, cols = np.arange(len(live)), nodes[live]
+    x = -(inv[k, :, cols] * (v[k, cols] / (1.0 - v[k, cols]))[:, None])  # along(e_i), from column i
+    unit = np.zeros_like(v)
+    unit[k, cols] = 1.0
+    w = 2.0 * trial.delta * x**2 / (1.0 - v) ** 3 + 2.0 * unit * x / (1.0 - v) ** 2
+    ok = np.isfinite(residual) & _stacked(np.linalg.cholesky, shifted)[1] & invertible & (cond <= _COND_LIMIT)
+    ok &= x.max(axis=1) * trial.delta.max(axis=1) <= 1e-10  # x is in units of 1 / rate
+    fallback[live[~ok]] = True
+    for f, value in zip(out, (v, trial.delta, s, inv, x, -(inv @ w[..., None])[..., 0])):
+        f[live[ok]] = value[ok]
+    reached = np.zeros(len(nodes), dtype=bool)
+    reached[live[ok]] = True
+
+    for j in np.flatnonzero(fallback):
+        prior = _Linearization(*(f[j] for f in near[:4])) if endemic[j] else None
+        lin = _continued(g, rates, nodes[j], delta_i[j], prior, (near[4][j], near[5][j]))
+        if lin is not None:
+            for f, value in zip(out, (lin.v, lin.delta, lin.s, lin.inv, *lin.along(np.eye(n)[nodes[j]]))):
+                f[j] = value
+            reached[j] = True
+    return out, reached
 
 
 def inverse_checks(g: Graph, rates: RateConfig, ss: SteadyState) -> dict:

@@ -135,11 +135,37 @@ def _iterate(g: Graph, rates: RateConfig, tol: float, max_iter: int):
 
 
 def _jacobian(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
-    """S = diag(delta/(1 - v)^2) - A diag(beta), the Jacobian of -F at v, in one array."""
+    """S = diag(delta/(1 - v)^2) - A diag(beta), the Jacobian of -F at v, in one array;
+    one S per row when v and rates.delta carry a leading stack axis."""
     s = g.adjacency * rates.beta
     np.subtract(0.0, s, out=s)  # +0.0 off the edges, where a plain negation would leave -0.0
-    s.flat[:: g.n + 1] = rates.delta / (1.0 - v) ** 2  # over the zero diagonal of A
+    if v.ndim == 1:
+        s.flat[:: g.n + 1] = rates.delta / (1.0 - v) ** 2  # over the zero diagonal of A
+    else:
+        s = np.repeat(s[None], len(v), axis=0)
+        s.reshape(len(v), g.n * g.n)[:, :: g.n + 1] = rates.delta / (1.0 - v) ** 2
     return s
+
+
+def _stacked(linalg_op, *stacks):
+    """A numpy.linalg operation on stacks of systems, and whether each system succeeded.
+
+    numpy.linalg raises for the whole stack when one system is singular (or not
+    positive definite, for cholesky), so then each system is redone alone and a
+    failed one is left as nan."""
+    try:
+        return linalg_op(*stacks), np.ones(len(stacks[0]), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out, ok = [], []
+    for system in zip(*stacks):
+        try:
+            out.append(linalg_op(*system))
+            ok.append(True)
+        except np.linalg.LinAlgError:
+            out.append(np.full_like(system[-1], np.nan))
+            ok.append(False)
+    return np.array(out), np.array(ok)
 
 
 def _newton_orbit(g: Graph, rates: RateConfig, v: np.ndarray):
@@ -218,6 +244,45 @@ def _corrected(g: Graph, rates: RateConfig, guess: np.ndarray, tol: float) -> St
     included, raises ``no-convergence`` from ``_newton_orbit``.
     """
     return _steady_state(g, rates, *_newton_finish(g, rates, guess, 0, tol, _MAX_ITER), "newton")
+
+
+def _corrected_stack(g: Graph, rates: RateConfig, guess: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_corrected on a stack of endemic systems: rates.delta and guess carry a
+    leading axis, one system and its estimate per row, and beta is shared.
+
+    Each row takes Newton steps until it stops by the rule of _newton_finish,
+    its residual (in units of its own max delta) and its last step both at most
+    tol.  Returns (v, residual).  A row whose iterate leaves (0, 1), whose step
+    stalls, whose system is singular or that reaches _MAX_ITER steps stops with
+    residual inf; its v is then no steady state, but it lies inside (0, 1).
+    """
+    a, beta, delta = g.adjacency, rates.beta, rates.delta
+    scale = delta.max(axis=1)
+    inside = (0.0 < guess.min(axis=1)) & (guess.max(axis=1) < 1.0)  # also false where an entry is nan
+    rows = np.flatnonzero(inside)  # rows still stepping
+    v = np.where(inside[:, None], guess, 0.5)  # each row's last iterate inside (0, 1), 0.5 if none
+    residual = np.full(len(v), np.inf)
+    step = np.full(len(v), np.inf)  # size of the step that led to each row's iterate
+    last = np.full(len(v), np.nan)  # and of the step before it (nan: none, so no stall)
+    for k in range(_MAX_ITER + 1):
+        if not rows.size:
+            break
+        u = v[rows]
+        f = (beta * u) @ a - u * delta[rows] / (1.0 - u)  # a is symmetric
+        res = np.abs(f).max(axis=1) / scale[rows]
+        done = (res <= tol) & (step[rows] <= tol)
+        residual[rows[done]] = res[done]
+        # monotone Newton steps shrink until rounding error dominates them
+        going = ~done & ~(step[rows] >= last[rows]) & (k < _MAX_ITER)
+        rows, f = rows[going], f[going]
+        last[rows] = step[rows]
+        increment, solved = _stacked(np.linalg.solve, _jacobian(g, rates, v)[rows], f[..., None])
+        new = v[rows] + increment[..., 0]
+        inside = solved & (0.0 < new.min(axis=1)) & (new.max(axis=1) < 1.0)
+        rows = rows[inside]
+        v[rows] = new[inside]
+        step[rows] = np.abs(increment[inside, :, 0]).max(axis=1)
+    return v, residual
 
 
 def _steady_state(

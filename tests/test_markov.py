@@ -351,6 +351,8 @@ def test_simulate_argument_validation():
         simulate(g, r, horizon=4.0, burn_in=1.0, replicas=0, seed=0)
     with pytest.raises(InputError, match="seed"):
         simulate(g, r, horizon=4.0, burn_in=1.0, replicas=4, seed=-1)
+    with pytest.raises(InputError, match="seed must be below 2\\*\\*128"):
+        simulate(g, r, horizon=4.0, burn_in=1.0, replicas=4, seed=2**128)
 
 
 def test_simulate_rejects_non_integer_replicas():
@@ -480,6 +482,12 @@ def _long_run_n60():
     return g, random_rates_at(g, rng, 3.0), {"horizon": 20.0, "burn_in": 2.0, "replicas": 3, "seed": 5}
 
 
+def _wide_seed():
+    # keys seed ^ r above 2**64 fill both 64-bit words of the Philox key
+    g, r, kw = _long_run_n60()
+    return g, r, {**kw, "seed": 2**100 + 3}
+
+
 @pytest.mark.parametrize(
     "case, covers",
     [
@@ -487,8 +495,9 @@ def _long_run_n60():
         (_residue_path, lambda kw, surv, events: surv < 1.0),
         (_mostly_absorbed, lambda kw, surv, events: surv < 0.5),
         (_long_run_n60, lambda kw, surv, events: min(events) > 1024),
+        (_wide_seed, lambda kw, surv, events: kw["seed"] >= 2**64 and min(events) > 1024),
     ],
-    ids=["block-boundary", "pressure-residue", "mostly-absorbed", "draw-refill"],
+    ids=["block-boundary", "pressure-residue", "mostly-absorbed", "draw-refill", "wide-seed"],
 )
 def test_simulate_bit_identical_to_serial_reference(case, covers):
     g, r, kw = case()

@@ -686,6 +686,39 @@ def test_convexity_verdicts_match_per_node_loop(name):
     assert (skipped > 0) == leaves
 
 
+def random_convexity_configs():
+    """30 random configurations: 24 with lambda_max(R) in 1.02-8 (log-uniform), 6 below the threshold."""
+    rng = np.random.default_rng(24)
+    configs = []
+    for k in range(30):
+        g = random_connected_graph(int(rng.integers(3, 14)), rng)
+        target = float(np.exp(rng.uniform(np.log(1.02), np.log(8.0)))) if k < 24 else float(rng.uniform(0.5, 0.98))
+        configs.append((g, random_rates_at(g, rng, target)))
+    return configs
+
+
+def test_stacked_verdicts_match_per_node_loop_on_random_configs():
+    for k, (g, r) in enumerate(random_convexity_configs()):
+        assert convexity_verdicts(g, r) == loop_convexity_verdicts(g, r)[0], k
+
+
+def test_convexity_verdicts_do_not_depend_on_the_stack_chunk(monkeypatch):
+    configs = [(g, r) for g, r, _ in convexity_cases().values()] + random_convexity_configs()[::5]
+    expected = [convexity_verdicts(g, r) for g, r in configs]
+    sizes = []
+    advance = sensitivity._advance
+
+    def recording(g, rates, rows, *args):
+        sizes.append(len(rows))
+        return advance(g, rates, rows, *args)
+
+    monkeypatch.setattr(sensitivity, "_advance", recording)
+    for (g, r), verdicts in zip(configs, expected):
+        monkeypatch.setattr(sensitivity, "_STACK_DOUBLES", 3 * g.n**2)  # 3 rows per chunk
+        assert convexity_verdicts(g, r) == verdicts
+    assert max(sizes) == 3 and min(sizes) < 3  # every stack split, some into a short last chunk
+
+
 def test_sweeps_raise_a_stalled_solve_deep_in_the_endemic_regime():
     # lambda_max(R) = 112: every 1e-12 solve here stalls at its residual
     # floor, which is a solver failure, not a point outside the regime
@@ -717,21 +750,42 @@ def failing_at_one_scaled_point(monkeypatch, base, factor, name="solve"):
     return calls
 
 
+def failing_stack_row(monkeypatch, base, factor) -> list:
+    """Patch the sweeps' stacked corrector to fail the row where node 0's curing
+    rate is factor times its base value; returns the curing rates of every
+    row it was given."""
+    original = sensitivity._corrected_stack
+    rows = []
+
+    def run_or_fail(g, rates, *args):
+        v, residual = original(g, rates, *args)
+        rows.extend(rates.delta)
+        residual[np.isclose(rates.delta[:, 0], factor * base.delta[0], rtol=1e-12)] = np.inf
+        return v, residual
+
+    monkeypatch.setattr(sensitivity, "_corrected_stack", run_or_fail)
+    return rows
+
+
 def test_convexity_verdicts_raise_a_failed_sweep_solve(monkeypatch):
-    # the corrector fails at node 0's 0.8 point, and so does the solve it falls back to
+    # the stacked corrector fails node 0's 0.8 row, and so do the corrector and
+    # the solve of the route it falls back to
     g = complete_graph(5)
     r = homogeneous_rates(g, 1.0)
+    rows = failing_stack_row(monkeypatch, r, 0.8)
     corrections = failing_at_one_scaled_point(monkeypatch, r, 0.8, "_corrected")
     failing_at_one_scaled_point(monkeypatch, r, 0.8)
     with pytest.raises(NumericalError) as info:
         convexity_verdicts(g, r)
     assert info.value.code == "no-convergence"
+    assert any(np.isclose(delta[0], 0.8) for delta in rows)
     assert corrections and np.isclose(corrections[-1].delta[0], 0.8)
 
 
 def test_convexity_verdicts_fall_back_to_solve_where_the_corrector_fails(monkeypatch):
     g, r, _ = convexity_cases()["random8-leaves-endemic"]
     expected, _ = loop_convexity_verdicts(g, r)
+    failing_stack_row(monkeypatch, r, 0.8)
     failing_at_one_scaled_point(monkeypatch, r, 0.8, "_corrected")
     solves = failing_at_one_scaled_point(monkeypatch, r, np.inf)  # counts, never fails
     assert convexity_verdicts(g, r) == expected
@@ -754,22 +808,23 @@ def newton_reference(g, rates):
 def test_corrected_sweep_states_match_newton(name, monkeypatch):
     g, r, _ = convexity_cases()[name]
     states = []
-    corrected = sensitivity._corrected
+    corrected = sensitivity._corrected_stack
 
     def recording(g, rates, *args):
-        ss = corrected(g, rates, *args)
-        states.append((rates, ss))
-        return ss
+        v, residual = corrected(g, rates, *args)
+        for k in np.flatnonzero(np.isfinite(residual)):
+            states.append((RateConfig.for_graph(g, rates.beta, rates.delta[k]), v[k], residual[k]))
+        return v, residual
 
-    monkeypatch.setattr(sensitivity, "_corrected", recording)
+    monkeypatch.setattr(sensitivity, "_corrected_stack", recording)
     convexity_verdicts(g, r)
     # from an endemic base, both points of every node's downward chain are endemic and corrected
     base_endemic = solve(g, r, tol=1e-12).regime == "endemic"
     assert len(states) >= 2 * g.n if base_endemic else not states
-    for rates, ss in states:
-        assert ss.path == "newton" and ss.regime == "endemic" and ss.residual <= 1e-12
+    for rates, v, residual in states:
+        assert 0.0 < v.min() and v.max() < 1.0 and residual <= 1e-12
         reference = newton_reference(g, rates)
-        assert np.abs(ss.v_inf - reference).max() <= 1e-11 * np.abs(reference).min()
+        assert np.abs(v - reference).max() <= 1e-11 * np.abs(reference).min()
 
 
 def test_trial_rates_equal_a_validated_configuration():
@@ -786,6 +841,9 @@ def test_trial_rates_equal_a_validated_configuration():
             value = getattr(trial, name)
             assert np.array_equal(value, getattr(expected, name)), (i, name)
             assert not value.flags.writeable, (i, name)
+        stack = sensitivity._rates_with_stack(r, np.array([i, i]), np.array([delta_i, r.delta[i]]))
+        assert np.array_equal(stack.delta, [expected.delta, r.delta]), i  # the sweeps' row of this rate
+        assert np.array_equal(stack.tau, [expected.tau, r.tau]), i
 
 
 def test_optimal_curing_rate_raises_a_failed_walk_solve(monkeypatch):
@@ -807,14 +865,19 @@ def test_each_endemic_state_is_solved_and_linearized_once(monkeypatch, tmp_path,
     r = random_rates_at(g, rng, 2.0)
     n = g.n
     ss = solve(g, r, tol=1e-12)
-    # solves made by sensitivity or the CLI, sweep corrections and _Linearization.at calls
-    counts = {"solve": 0, "corrected": 0, "at": 0}
+    # solves made by sensitivity or the CLI, rows of the stacked sweep corrector,
+    # single-state corrections and _Linearization.at calls
+    counts = {"solve": 0, "rows": 0, "corrected": 0, "at": 0}
     at = sensitivity._Linearization.at.__func__
-    corrected = sensitivity._corrected
+    corrected, stacked = sensitivity._corrected, sensitivity._corrected_stack
 
     def counting_solve(*args, **kwargs):
         counts["solve"] += 1
         return solve(*args, **kwargs)
+
+    def counting_stacked(g, rates, guess, tol):
+        counts["rows"] += len(guess)
+        return stacked(g, rates, guess, tol)
 
     def counting_corrected(*args):
         counts["corrected"] += 1
@@ -826,23 +889,26 @@ def test_each_endemic_state_is_solved_and_linearized_once(monkeypatch, tmp_path,
 
     monkeypatch.setattr(sensitivity, "solve", counting_solve)
     monkeypatch.setattr(steady_state, "solve", counting_solve)
+    monkeypatch.setattr(sensitivity, "_corrected_stack", counting_stacked)
     monkeypatch.setattr(sensitivity, "_corrected", counting_corrected)
     monkeypatch.setattr(sensitivity._Linearization, "at", classmethod(counting_at))
-    # the base state is solved; the 4 scaled points per node are corrected from
-    # their neighbours; the base also serves every sweep's factor 1.0
+    # the base state is solved and linearized; the 4 scaled points per node are
+    # corrected and linearized from their neighbours as rows of the stacked
+    # sweep; the base also serves every sweep's factor 1.0
     full_report(g, r)
-    assert counts == {"solve": 1, "corrected": 4 * n, "at": 1 + 4 * n}
-    counts.update(solve=0, corrected=0, at=0)
+    assert counts == {"solve": 1, "rows": 4 * n, "corrected": 0, "at": 1}
+    counts.update(solve=0, rows=0, at=0)
     full_report(g, r, ss)
-    assert counts == {"solve": 0, "corrected": 4 * n, "at": 1 + 4 * n}
+    assert counts == {"solve": 0, "rows": 4 * n, "corrected": 0, "at": 1}
 
     graph, rates = tmp_path / "g.edges", tmp_path / "rates.json"
     graph.write_text(format_edge_list(g))
     rates.write_text(json.dumps({"beta": r.beta.tolist(), "delta": r.delta.tolist()}))
-    counts.update(solve=0, corrected=0, at=0)
+    counts.update(solve=0, rows=0, at=0)
     assert main(["sensitivity", "--graph", str(graph), "--rates", str(rates)]) == 0
     capsys.readouterr()
-    assert counts == {"solve": 1, "corrected": 4 * n, "at": 1 + 4 * n}  # the inverse ledger reads the report's S^{-1}
+    # the inverse ledger reads the report's S^{-1}
+    assert counts == {"solve": 1, "rows": 4 * n, "corrected": 0, "at": 1}
 
     assert full_report(g, r, ss).convexity == convexity_verdicts(g, r)
 
