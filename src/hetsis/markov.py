@@ -3,17 +3,20 @@
 These are the ground-truth oracles the mean-field model is measured
 against.  The exact continuous-time chain lives on all 2^N subsets of
 infected nodes (bit i set means node i infected, the empty set is
-absorbing); transients are computed by uniformization.  The event-driven
-simulator advances blocks of independent replicas together in the calling
-thread, one event per live replica per step, as (replicas x n) arrays.
-Each replica draws from its own counter-based RNG keyed by (seed XOR
-replica), so results are bit-reproducible for a given seed and equal to
-running the replicas one after another.
+absorbing); transients are computed by uniformization.  The stochastic
+simulator runs the same chain by thinning: candidate events arrive at a
+fixed total rate, are picked from static weights, and are kept only if
+the state allows them, so each candidate costs O(1) whatever n is.
+Replicas run one at a time in the calling thread, each drawing from its
+own counter-based RNG keyed by (seed XOR replica), so results are
+bit-reproducible for a given seed and equal to running the replicas one
+after another.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -38,8 +41,7 @@ __all__ = [
 
 _MAX_EXACT_NODES = 14
 _POISSON_TAIL = 1e-12
-_BLOCK = 256  # replicas advanced together; bounds the draws held at once
-_CHUNK = 1024  # draws taken from each replica's stream per refill
+_CHUNK = 1024  # most draws a replica takes from its stream per refill
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +166,9 @@ class SimEstimate:
     prevalence_mean[i] averages node i's infected-time fraction over the
     window [burn_in, horizon] across surviving replicas; stderr is the
     replica-to-replica standard error of that mean.  events counts the
-    cures and infections simulated, summed over all replicas.
+    cures and infections simulated and candidates the thinned draws
+    examined, both summed over all replicas, so events / candidates is the
+    share of candidates that were real.
     """
 
     prevalence_mean: np.ndarray
@@ -174,107 +178,70 @@ class SimEstimate:
     seed: int
     survival_fraction: float
     events: int
+    candidates: int
 
 
-def _run_block(
-    g: Graph,
-    rates: RateConfig,
+def _run_replica(
+    stream: np.random.Generator,
+    cumulative: np.ndarray,
+    source: list[int],
+    target: list[int],
+    n: int,
     horizon: float,
     burn_in: float,
-    keys: list[int],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Event-driven trajectories from the all-infected state, one per key.
+    chunk: int,
+) -> tuple[list[float] | None, int, int]:
+    """One thinned trajectory from the all-infected state.
 
-    Every live replica advances by one event per step, so all of them sit
-    at the same event index and refill their draws on the same step.
-    Replicas that are absorbed or reach the horizon are written out and
-    dropped.  Returns (occupancy, survived, events): occupancy[r, i] is
-    node i's total infected time inside [burn_in, horizon] in replica r.
+    Candidate c < n cures node c; candidate c >= n is source[c] infecting
+    target[c].  Candidates arrive at the constant rate cumulative[-1], each
+    picked with probability proportional to its weight; one whose node is
+    in the wrong state is a phantom and changes nothing.  Each refill takes
+    a chunk of exponential waits and then a chunk of uniform picks from the
+    stream.  Returns (occupancy, events, candidates): occupancy[i] is node
+    i's infected time inside [burn_in, horizon], or None if the replica was
+    absorbed before the horizon.
     """
-    n, size = g.n, len(keys)
-    adjacency, beta, delta = g.adjacency, rates.beta, rates.delta
-    # one Philox serves every replica: replica k's stream is Philox(key=k), and
-    # its state is saved after each refill and set again before the next
-    bits = np.random.Philox(key=0)
-    stream = np.random.Generator(bits)
-    states = [
-        {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key % 2**64, key >> 64], np.uint64)},
-            "buffer": np.zeros(4, np.uint64),
-            "buffer_pos": 4,  # empty
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        for key in keys
-    ]
-    # draws stay indexed by block row; live replicas read column step % _CHUNK
-    waits = np.empty((size, _CHUNK))
-    picks = np.empty((size, _CHUNK))
-    occupancy_out = np.zeros((size, n))
-    survived = np.zeros(size, dtype=bool)
-
-    # one row per live replica; live[k] is the block row of row k
-    live = np.arange(size)
-    infected = np.ones((size, n), dtype=bool)
-    # exact count of infected neighbours (small integers, exact in float);
-    # pressure is their summed beta, which float updates leave with rounding
-    # residue, so a node whose count is zero gets an infection rate of exactly 0
-    exposed = np.tile(g.degrees.astype(float), (size, 1))
-    pressure = np.tile(adjacency @ beta, (size, 1))
-    occupancy = np.zeros((size, n))
-    rate = np.tile(np.concatenate([delta, np.zeros(n)]), (size, 1))  # cure, then infection rates
-    t = np.zeros(size)
-    events = 0
-    step = 0
-    while live.size:
-        column = step % _CHUNK
-        if column == 0:
-            # each stream yields a chunk of exponentials, then one of uniforms
-            for replica in live:
-                bits.state = states[replica]
-                stream.standard_exponential(out=waits[replica])
-                stream.random(out=picks[replica])
-                states[replica] = bits.state
-        np.multiply(pressure, ~infected & (exposed > 0), out=rate[:, n:])
-        cumulative = np.cumsum(rate, axis=1)
-        total = cumulative[:, -1]
-        absorbed = total == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_next = t + waits[live, column] / total
-        left = np.maximum(t, burn_in)
-        right = np.minimum(t_next, horizon)
-        inside = right > left
-        if inside.any():
-            occupancy += infected * np.where(inside, right - left, 0.0)[:, None]
-        ended = absorbed | (t_next >= horizon)
-        if ended.any():
-            # an absorbed replica stays absorbed for the rest of the horizon
-            done = live[ended]
-            occupancy_out[done] = occupancy[ended]
-            survived[done] = ~absorbed[ended] & infected[ended].any(axis=1)
-            going = ~ended
-            live, infected, exposed, pressure, occupancy, rate = (
-                live[going], infected[going], exposed[going], pressure[going], occupancy[going], rate[going])
-            t_next, cumulative, total = t_next[going], cumulative[going], total[going]
-            if not live.size:
-                break
-        # searchsorted(side="right") of each row's draw in its cumulative sum
-        event = (cumulative <= (picks[live, column] * total)[:, None]).sum(axis=1)
-        rows = np.arange(live.size)
-        node = event % n
-        gained = event >= n  # an infection event, else a cure
-        infected[rows, node] = gained
-        rate[rows, node] = delta[node] * gained
-        # neighbour rows of the flipped nodes, signed +1 for an infection
-        change = adjacency[node]
-        change *= np.where(gained, 1.0, -1.0)[:, None]
-        exposed += change
-        pressure += beta[node][:, None] * change
-        t = t_next
-        events += live.size
-        step += 1
-    return occupancy_out, survived, events
+    total = cumulative[-1]
+    infected = [True] * n
+    since = [0.0] * n  # start of each node's current infected stretch
+    occupancy = [0.0] * n
+    alive = n
+    events = candidates = 0
+    t = 0.0
+    while True:
+        waits = stream.standard_exponential(chunk)
+        picks = cumulative.searchsorted(stream.random(chunk) * total, side="right")
+        times = t + waits.cumsum() / total
+        t = times[-1]
+        before = int(times.searchsorted(horizon))  # candidates inside the horizon
+        # what is left of this iterator after an absorbing cure tells how many were examined
+        unread = iter(times[:before].tolist())
+        for time, c in zip(unread, picks[:before].tolist()):
+            if c < n:
+                if infected[c]:
+                    infected[c] = False
+                    start = since[c] if since[c] > burn_in else burn_in
+                    if time > start:
+                        occupancy[c] += time - start
+                    events += 1
+                    alive -= 1
+                    if not alive:
+                        return None, events, candidates + before - operator.length_hint(unread)
+            elif infected[source[c]]:
+                i = target[c]
+                if not infected[i]:
+                    infected[i] = True
+                    since[i] = time
+                    events += 1
+                    alive += 1
+        candidates += before
+        if before < chunk:
+            break
+    for i in range(n):
+        if infected[i]:
+            occupancy[i] += horizon - (since[i] if since[i] > burn_in else burn_in)
+    return occupancy, events, candidates
 
 
 def simulate(
@@ -288,12 +255,23 @@ def simulate(
 ) -> SimEstimate:
     """Estimate metastable prevalence from independent replicas.
 
-    Each replica starts all-infected and is simulated event by event to
-    ``horizon``; replicas absorbed before the horizon are excluded
-    (conditioning on survival).  Replica r draws from a Philox stream
-    keyed by seed XOR r, so the estimate is bit-reproducible for a given
-    seed.  Replicas advance together in blocks, in the calling thread;
-    ``max_workers`` is accepted for compatibility and ignored.
+    Each replica starts all-infected and runs to ``horizon``; replicas
+    absorbed before the horizon are excluded (conditioning on survival).
+    The exact SIS chain is simulated by thinning (uniformization):
+    candidate events arrive at the constant rate
+    Lambda = sum_i delta_i + sum_i gamma_i, each a cure of node i (weight
+    delta_i) or an infection of i by a neighbour j (weight beta_j), and a
+    candidate is real only if j is infected and i susceptible (a cure: i
+    infected).  A replica that survives the whole horizon therefore
+    examines about Lambda * horizon candidates at O(1) each, whatever the
+    share that is real.  Occupancy is summed per infected stretch.
+
+    Replica r draws from a Philox stream keyed by seed XOR r, in chunks of
+    min(1024, ceil(Lambda * horizon) + 1) exponentials and then as many
+    uniforms, so the estimate is bit-reproducible for a given seed and
+    equal to running the replicas one after another.  Replicas run one at
+    a time in the calling thread; ``max_workers`` is accepted for
+    compatibility and ignored.
     """
     horizon, burn_in = _real(horizon, "horizon"), _real(burn_in, "burn_in", 0.0)
     if horizon <= burn_in:
@@ -302,27 +280,49 @@ def simulate(
     if seed >= 2**128:  # a Philox key has two 64-bit words
         raise InputError(f"seed must be below 2**128, got {seed}", code="invalid-argument")
 
-    occupancy = np.empty((replicas, g.n))
-    survived = np.empty(replicas, dtype=bool)
-    events = 0
-    for start in range(0, replicas, _BLOCK):
-        stop = min(start + _BLOCK, replicas)
-        keys = [seed ^ r for r in range(start, stop)]
-        occupancy[start:stop], survived[start:stop], block_events = _run_block(g, rates, horizon, burn_in, keys)
-        events += block_events
+    n = g.n
+    target, source = np.nonzero(g.adjacency)  # a_ij = 1: j infects i at rate beta_j
+    cumulative = np.cumsum(np.concatenate([rates.delta, rates.beta[source]]))
+    # indexed by candidate, so cures fill the first n places of both lists
+    cures = np.arange(n)
+    source, target = np.concatenate([cures, source]).tolist(), np.concatenate([cures, target]).tolist()
+    expected = float(cumulative[-1]) * horizon  # may be inf, which math.ceil refuses
+    chunk = _CHUNK if expected >= _CHUNK else math.ceil(expected) + 1
 
-    survivors = occupancy[survived] / (horizon - burn_in)
-    n_alive = survivors.shape[0]
+    # one Philox serves every replica: replica r's stream is Philox(key=seed ^ r)
+    bits = np.random.Philox(key=0)
+    stream = np.random.Generator(bits)
+    survivors = []
+    events = candidates = 0
+    for r in range(replicas):
+        key = seed ^ r
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([key % 2**64, key >> 64], np.uint64)},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,  # empty
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        occupancy, replica_events, replica_candidates = _run_replica(
+            stream, cumulative, source, target, n, horizon, burn_in, chunk)
+        if occupancy is not None:
+            survivors.append(occupancy)
+        events += replica_events
+        candidates += replica_candidates
+
+    n_alive = len(survivors)
     if n_alive == 0:
         raise NumericalError(
             "no surviving replicas; raise tau or shorten horizon",
             code="no-surviving-replicas",
         )
-    prevalence = survivors.mean(axis=0)
+    fractions = np.array(survivors) / (horizon - burn_in)
+    prevalence = fractions.mean(axis=0)
     if n_alive > 1:
-        stderr = survivors.std(axis=0, ddof=1) / math.sqrt(n_alive)
+        stderr = fractions.std(axis=0, ddof=1) / math.sqrt(n_alive)
     else:
-        stderr = np.full(g.n, np.inf)
+        stderr = np.full(n, np.inf)
     return SimEstimate(
         prevalence_mean=prevalence,
         y_mean=float(prevalence.mean()),
@@ -331,4 +331,5 @@ def simulate(
         seed=seed,
         survival_fraction=n_alive / replicas,
         events=events,
+        candidates=candidates,
     )

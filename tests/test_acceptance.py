@@ -385,6 +385,19 @@ def test_a09b_path3_exact_cross_check():
     _ok("09b path3-exact-cross-check")
 
 
+def test_simulate_exact_when_most_candidates_are_phantoms():
+    # curing rates spread 100x: the fast-cured middle node is mostly
+    # susceptible, so most of its cure candidates change nothing
+    g = path_graph(3)
+    rates = RateConfig.for_graph(g, 2.0, [0.1, 10.0, 1.0])
+    est = simulate(g, rates, horizon=12.0, burn_in=4.0, replicas=1500, seed=2025)
+    assert est.events < 0.5 * est.candidates
+    assert est.survival_fraction * est.replicas >= 30
+    reference = conditioned_window_reference(g, rates, 4.0, 12.0)
+    for i in range(3):
+        assert abs(est.prevalence_mean[i] - reference[i]) <= 3.0 * est.stderr[i], i
+
+
 def test_a09c_far_above_threshold_envelope():
     cases = [
         (complete_graph(5), 1.0, 40.0, 10.0, 600),

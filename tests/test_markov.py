@@ -281,9 +281,10 @@ def test_simulate_independent_of_worker_count():
 
 
 def test_simulate_terminates_when_float_pressure_leaves_residue():
-    # on this path the summed-beta pressure of a fully cured state is left
-    # with a negative rounding residue; an infection rate taken from it made
-    # the total rate negative, and replica key 1 ran backward in time forever
+    # on these rates a simulator that summed beta into per-node infection
+    # pressure left a negative rounding residue on a fully cured state, and
+    # replica key 1 ran backward in time forever; thinning keeps no such sums,
+    # and the case stays as a termination guard
     g = path_graph(4)
     r = RateConfig.for_graph(g, 1.3 * np.array([1.5, 5 / 6, 7 / 6, 0.5]), [0.5, 5 / 6, 7 / 6, 1.5])
     with within_seconds(10):
@@ -334,6 +335,16 @@ def test_simulate_requires_survivors():
         simulate(g, r, horizon=60.0, burn_in=10.0, replicas=20, seed=1)
 
 
+def test_simulate_huge_horizon_reports_extinction():
+    # Lambda * horizon overflows to inf here; the draw chunk stays bounded
+    # and the fast extinction is reported, not an OverflowError
+    g = path_graph(2)
+    r = RateConfig.for_graph(g, 0.2, 1.0)
+    with pytest.raises(NumericalError) as info:
+        simulate(g, r, horizon=1e308, burn_in=0.0, replicas=20, seed=1)
+    assert info.value.code == "no-surviving-replicas"
+
+
 def test_simulate_single_survivor_has_infinite_stderr():
     g = complete_graph(3)
     r = RateConfig.for_graph(g, 3.0, 1.0)
@@ -376,80 +387,61 @@ def test_simulate_rejects_non_integer_seed():
     assert np.array_equal(a.prevalence_mean, b.prevalence_mean)
 
 
-# Serial reference for the lockstep simulator: one replica at a time, event
-# by event, drawing from its own Philox stream in chunks of 1024 exponentials
-# and then 1024 uniforms, exactly as the package's simulator did before its
-# replicas advanced together.  It counts its own events.
-
-
-class _SerialDraws:
-    def __init__(self, key: int, chunk: int = 1024):
-        self._rng = np.random.Generator(np.random.Philox(key=key))
-        self._chunk = chunk
-        self._exp = np.empty(0)
-        self._uni = np.empty(0)
-        self._ei = 0
-        self._ui = 0
-
-    def exponential(self) -> float:
-        if self._ei >= self._exp.size:
-            self._exp = self._rng.standard_exponential(self._chunk)
-            self._ei = 0
-        self._ei += 1
-        return float(self._exp[self._ei - 1])
-
-    def uniform(self) -> float:
-        if self._ui >= self._uni.size:
-            self._uni = self._rng.random(self._chunk)
-            self._ui = 0
-        self._ui += 1
-        return float(self._uni[self._ui - 1])
+# Serial reference for the thinned simulator: one replica at a time, one
+# candidate at a time.  Candidate k < n cures node k and candidate n + e is
+# the e-th edge (i, j) of the adjacency in row-major order, j infecting i;
+# each replica's Philox stream gives chunks of exponential waits and then
+# uniform picks.  Acceptance is read from the state, and occupancy is summed
+# per infected stretch.  It counts its own events and candidates.
 
 
 def _serial_replica(g, rates, horizon, burn_in, key):
-    """Returns (occupancy over [burn_in, horizon], survived, events)."""
+    """Returns (occupancy over [burn_in, horizon], survived, events, candidates)."""
     n = g.n
-    draws = _SerialDraws(key)
-    adjacency, beta, delta = g.adjacency, rates.beta, rates.delta
-    links = adjacency.astype(np.int64)
+    edges = np.argwhere(g.adjacency == 1)
+    cumulative = np.cumsum(np.concatenate([rates.delta, rates.beta[edges[:, 1]]]))
+    total = cumulative[-1]
+    chunk = 1024 if total * horizon >= 1024 else math.ceil(total * horizon) + 1
+    rng = np.random.Generator(np.random.Philox(key=key))
     infected = np.ones(n, dtype=bool)
-    exposed = g.degrees.copy()
-    pressure = adjacency @ beta
+    since = np.zeros(n)
     occupancy = np.zeros(n)
-    rate = np.empty(2 * n)
-    cure, infect = rate[:n], rate[n:]
     t = 0.0
-    events = 0
+    events = candidates = 0
     while True:
-        np.multiply(delta, infected, out=cure)
-        np.multiply(pressure, ~infected & (exposed > 0), out=infect)
-        cumulative = np.cumsum(rate)
-        total = float(cumulative[-1])
-        if total == 0.0:
-            return occupancy, False, events
-        t_next = t + draws.exponential() / total
-        left = max(t, burn_in)
-        right = min(t_next, horizon)
-        if right > left:
-            occupancy[infected] += right - left
-        if t_next >= horizon:
-            return occupancy, bool(infected.any()), events
-        event = int(np.searchsorted(cumulative, draws.uniform() * total, side="right"))
-        node = event % n
-        infected[node] = event >= n
-        sign = 1 if infected[node] else -1
-        exposed += sign * links[node]
-        pressure += sign * beta[node] * adjacency[node]
-        t = t_next
-        events += 1
+        waits = rng.standard_exponential(chunk)
+        picks = np.searchsorted(cumulative, rng.random(chunk) * total, side="right")
+        times = t + np.cumsum(waits) / total
+        t = times[-1]
+        for time, pick in zip(times, picks):
+            if time >= horizon:
+                occupancy[infected] += horizon - np.maximum(since[infected], burn_in)
+                return occupancy, True, events, candidates
+            candidates += 1
+            if pick < n:
+                if not infected[pick]:
+                    continue
+                start = max(since[pick], burn_in)
+                if time > start:
+                    occupancy[pick] += time - start
+                infected[pick] = False
+            else:
+                i, j = edges[pick - n]
+                if infected[i] or not infected[j]:
+                    continue
+                infected[i] = True
+                since[i] = time
+            events += 1
+            if not infected.any():
+                return occupancy, False, events, candidates
 
 
 def _serial_simulate(g, rates, horizon, burn_in, replicas, seed):
     runs = [_serial_replica(g, rates, horizon, burn_in, seed ^ r) for r in range(replicas)]
-    survivors = np.array([occ / (horizon - burn_in) for occ, alive, _ in runs if alive])
+    survivors = np.array([occ / (horizon - burn_in) for occ, alive, _, _ in runs if alive])
     prevalence = survivors.mean(axis=0)
     stderr = survivors.std(axis=0, ddof=1) / math.sqrt(survivors.shape[0])
-    return prevalence, stderr, survivors.shape[0] / replicas, [events for _, _, events in runs]
+    return prevalence, stderr, survivors.shape[0] / replicas, [run[2] for run in runs], [run[3] for run in runs]
 
 
 def _gnm_12_26():
@@ -488,27 +480,30 @@ def _wide_seed():
     return g, r, {**kw, "seed": 2**100 + 3}
 
 
+# The first id names the many-replica case, kept from when replicas ran in
+# blocks of 256; it now covers extinctions and survivors in one call.
 @pytest.mark.parametrize(
     "case, covers",
     [
-        (_gnm_12_26, lambda kw, surv, events: kw["replicas"] > markov._BLOCK),
-        (_residue_path, lambda kw, surv, events: surv < 1.0),
-        (_mostly_absorbed, lambda kw, surv, events: surv < 0.5),
-        (_long_run_n60, lambda kw, surv, events: min(events) > 1024),
-        (_wide_seed, lambda kw, surv, events: kw["seed"] >= 2**64 and min(events) > 1024),
+        (_gnm_12_26, lambda kw, surv, candidates: kw["replicas"] >= 256 and 0.0 < surv < 1.0),
+        (_residue_path, lambda kw, surv, candidates: surv < 1.0),
+        (_mostly_absorbed, lambda kw, surv, candidates: surv < 0.5),
+        (_long_run_n60, lambda kw, surv, candidates: min(candidates) > markov._CHUNK),
+        (_wide_seed, lambda kw, surv, candidates: kw["seed"] >= 2**64 and min(candidates) > markov._CHUNK),
     ],
     ids=["block-boundary", "pressure-residue", "mostly-absorbed", "draw-refill", "wide-seed"],
 )
 def test_simulate_bit_identical_to_serial_reference(case, covers):
     g, r, kw = case()
-    prevalence, stderr, survival, events = _serial_simulate(g, r, **kw)
-    assert covers(kw, survival, events)  # the case exercises what its id names
+    prevalence, stderr, survival, events, candidates = _serial_simulate(g, r, **kw)
+    assert covers(kw, survival, candidates)  # the case exercises what its id names
     with within_seconds(10):
         est = simulate(g, r, **kw)
     assert np.array_equal(est.prevalence_mean, prevalence)
     assert np.array_equal(est.stderr, stderr)
     assert est.survival_fraction == survival
     assert est.events == sum(events)
+    assert est.candidates == sum(candidates)
 
 
 def test_extinct_regime_consistency_between_oracle_and_solver():
