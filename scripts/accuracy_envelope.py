@@ -1,6 +1,7 @@
 """Measure the mean-field accuracy envelope far above threshold.
 
-Runs the event-driven stochastic simulator on small graphs well inside
+Runs the stochastic simulator (uniformization against the total rate
+bound sum(delta) + sum(gamma), with thinning) on small graphs well inside
 the endemic regime and compares the survival-conditioned window-averaged
 prevalence against the mean-field steady state.  The mean-field value is
 an upper bound on the unconditioned marginals; far above threshold the

@@ -21,12 +21,13 @@ to the own-rate derivative through the node-deleted graph, a curvature
 diagnostic matrix, convexity verdicts over curing-rate sweeps, an
 optimal curing rate and a ledger of identities and inequalities on
 S^{-1} all live here.  A state with one curing rate delta_i changed is
-reached by one continuation route, for the convexity sweeps and the
+reached by one continuation step, for the convexity sweeps and the
 optimal curing rate alike: it is predicted from a nearby endemic point's
-(x, x') along e_i and corrected by Newton steps on S, with ``solve`` as
-the fallback.  The sweeps take that route for every node at once, one
-row per node and chain in numpy stacks, and a row that fails in the
-stack takes it alone.  As v_i is convex in delta_i, the optimum's
+(x, x') along e_i, corrected by the Newton steps of ``solve`` and, where
+they fail, solved.  The step, its trial rates and its linearization are
+written once over a leading axis of states: the optimum takes it one
+point at a time, the sweeps for every node at once, one row per node and
+chain.  As v_i is convex in delta_i, the optimum's
 stationarity residual never falls as delta_i rises, so its search walks
 a grid to a sign change, narrows the bracket by safeguarded Newton steps
 and bisects it, inferring the sign at each midpoint outside the band of
@@ -41,8 +42,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _frozen_array, _node, _real
-from .spectral import _below, effective_adjacency
-from .steady_state import SteadyState, _corrected, _corrected_stack, _jacobian, _side, _stacked, solve
+from .spectral import _below
+from .steady_state import _CONVERGED, _MAX_ITER, SteadyState, _jacobian, _newton, _side, solve
 
 __all__ = [
     "SensitivityReport",
@@ -92,11 +93,19 @@ def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarr
     the rates, so scaling every rate scales it with S.
     """
     _require_endemic(ss)
-    s = _jacobian(g, rates, ss.v_inf)
+    return _checked_s(g, rates, ss.v_inf)
+
+
+def _checked_s(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
+    """sensitivity_matrix at endemic states v shaped (..., n), rates.delta alike:
+    one S per state, the first state (in row order) below the floor raising."""
+    s = _jacobian(g, rates.beta, rates.delta, v)
     root = np.sqrt(rates.beta)
     sym = root[:, None] * s / root[None, :]
-    if not _below(-sym, -_PD_FLOOR * float(rates.delta.max())):
-        smallest = float(np.linalg.eigvalsh(sym)[0])
+    floor = -_PD_FLOOR * rates.delta.max(axis=-1, keepdims=True)
+    if not _below(-sym, floor):
+        first = next(m for m, c in zip(sym.reshape(-1, g.n, g.n), floor.reshape(-1, 1)) if not _below(-m, c))
+        smallest = float(np.linalg.eigvalsh(first)[0])
         raise NumericalError(
             f"sensitivity matrix not positive definite (smallest eigenvalue {smallest:.3e}); "
             "near critical threshold",
@@ -115,7 +124,8 @@ def _near_critical(linalg_op, *args) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Linearization:
-    """S and S^{-1} at one endemic state, built and validated once.
+    """S and S^{-1} at endemic states, built and validated once: v and delta
+    shaped (..., n), s and inv (..., n, n), for one state or a stack of them.
 
     Every derivative is a product with S^{-1}, so no solve rebuilds S.
     """
@@ -126,24 +136,32 @@ class _Linearization:
     inv: np.ndarray
 
     @classmethod
-    def at(cls, g: Graph, rates: RateConfig, ss: SteadyState) -> "_Linearization":
-        s = sensitivity_matrix(g, rates, ss)
+    def at(cls, g: Graph, rates: RateConfig, v: np.ndarray) -> "_Linearization":
+        """The linearization at endemic states v, each held to one rule: the
+        floor of sensitivity_matrix, an invertible S and a 1-norm condition
+        number of at most 1e12.  The first state (in row order) that breaks a
+        part of it raises ``near-critical``."""
+        s = _checked_s(g, rates, v)
         inv = _near_critical(np.linalg.inv, s)
-        cond = float(np.linalg.norm(s, 1) * np.linalg.norm(inv, 1))
-        if cond > _COND_LIMIT:
+        cond = np.abs(s).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)  # 1-norms
+        if (cond > _COND_LIMIT).any():
             raise NumericalError(
-                f"sensitivity system ill-conditioned (condition {cond:.3e}); near critical threshold",
+                f"sensitivity system ill-conditioned (condition {cond[cond > _COND_LIMIT][0]:.3e}); "
+                "near critical threshold",
                 code="near-critical",
             )
-        return cls(v=ss.v_inf, delta=rates.delta, s=s, inv=inv)
+        return cls(v=v, delta=rates.delta, s=s, inv=inv)
 
     def along(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(x, x') of the module docstring along u; a matrix u holds one direction per column."""
-        v, delta = (self.v, self.delta) if u.ndim == 1 else (self.v[:, None], self.delta[:, None])
-        x = -(self.inv @ (u * v / (1.0 - v)))
-        if float(x.max()) * float(self.delta.max()) > 1e-10:  # x is in units of 1 / rate
+        """(x, x') of the module docstring along the directions in the columns
+        of u, shaped (..., n, m) for states (..., n); a positive entry of x
+        raises ``sign-violation``."""
+        v, delta = self.v[..., None], self.delta[..., None]
+        healthy = 1.0 - v
+        x = -(self.inv @ (u * v / healthy))
+        if (x * self.delta.max(axis=-1)[..., None, None]).max(initial=-np.inf) > 1e-10:  # x is in units of 1 / rate
             raise NumericalError("positive curing-rate derivative detected", code="sign-violation")
-        w = 2.0 * delta * x**2 / (1.0 - v) ** 3 + 2.0 * u * x / (1.0 - v) ** 2
+        w = 2.0 * delta * x**2 / healthy**3 + 2.0 * u * x / healthy**2
         return x, -(self.inv @ w)
 
     def curvature(self, d2: np.ndarray) -> tuple[np.ndarray, float]:
@@ -155,14 +173,20 @@ class _Linearization:
         return m, float(dev.max())
 
 
+def _linearized(g: Graph, rates: RateConfig, ss: SteadyState) -> _Linearization:
+    """The _Linearization at the one state ss, which must be endemic."""
+    _require_endemic(ss)
+    return _Linearization.at(g, rates, ss.v_inf)
+
+
 def _in_mode(g: Graph, rates: RateConfig, ss: SteadyState, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """(x, x') at ss along the identity (independent mode) or the all-ones vector (tied)."""
-    lin = _Linearization.at(g, rates, ss)
+    lin = _linearized(g, rates, ss)
     if mode == "independent":
         return lin.along(np.eye(g.n))
     if mode == "tied":
         _require_tied(rates)
-        return lin.along(np.ones(g.n))
+        return tuple(f[:, 0] for f in lin.along(np.ones((g.n, 1))))
     raise InputError(f"unknown mode {mode!r}", code="invalid-argument")
 
 
@@ -198,7 +222,7 @@ def curvature_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> tuple[np.n
     Returns (M, worst relative deviation from that identity).  Signs of M
     are data, not assertions: mixed signs flag non-convex response.
     """
-    lin = _Linearization.at(g, rates, ss)
+    lin = _linearized(g, rates, ss)
     return lin.curvature(lin.along(np.eye(g.n))[1])
 
 
@@ -218,7 +242,7 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     _require_endemic(ss)
     i, v, tau = _node(g, i), ss.v_inf, rates.tau
     rest = np.arange(g.n) != i
-    s_rest = _jacobian(g, rates, v)[np.ix_(rest, rest)]
+    s_rest = _jacobian(g, rates.beta, rates.delta, v)[np.ix_(rest, rest)]
     a_col = g.adjacency[rest, i]
     f = float((rates.beta[rest] * a_col) @ _near_critical(np.linalg.solve, s_rest, a_col))
     if f <= 0:
@@ -233,11 +257,14 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     return f, derivative
 
 
-def _rates_with(rates: RateConfig, i: int, delta_i: float) -> RateConfig:
-    """rates with delta_i at node i, not validated again; beta and gamma are shared."""
-    delta, tau = rates.delta.copy(), rates.tau.copy()
-    delta[i] = delta_i
-    tau[i] = rates.beta[i] / delta[i]
+def _rates_with(rates: RateConfig, nodes, delta_i) -> RateConfig:
+    """rates with delta_i at node nodes, not validated again, over a leading
+    axis: nodes and delta_i shaped (...) give delta and tau shaped (..., n),
+    one configuration per entry; beta and gamma are shared."""
+    at = np.arange(len(rates.delta)) == np.asarray(nodes)[..., None]
+    delta_i = np.asarray(delta_i)[..., None]
+    delta = np.where(at, delta_i, rates.delta)
+    tau = np.where(at, rates.beta / delta_i, rates.tau)
     return replace(rates, delta=_frozen_array(delta), tau=_frozen_array(tau))
 
 
@@ -275,16 +302,15 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
     exceeds (1 - v_i) v_i / price, which is asserted on the result.
     """
     i, price = _node(g, i), _real(price, "price", 0.0, strict=True)
-    unit = np.eye(g.n)[i]
 
     def point(delta_i: float, near):
-        """(delta_i, r, linearization, its (x, x') along e_i), continued from
-        the point near (solved if None); None if extinct or on the surface."""
-        lin = _continued(g, rates, i, delta_i, *((None, None) if near is None else near[2:]))
-        if lin is None:
+        """(delta_i, r, v, (x, x') along e_i), continued from the point near
+        (solved if None); None if extinct or on the surface."""
+        trial = _rates_with(rates, i, delta_i)
+        if not _endemic(g, trial):
             return None
-        slopes = lin.along(unit)
-        return delta_i, price + float(slopes[0][i]), lin, slopes
+        v, *slopes = _advance(g, trial, i, delta_i, None if near is None else (near[0], near[2], *near[3]))
+        return delta_i, price + float(slopes[0][i]), v, slopes
 
     def inside(delta_i: float):
         """point(delta_i) from the pivot, for a delta_i between two endemic points."""
@@ -344,7 +370,7 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
             hi = mid
     best = 0.5 * (lo + hi)
 
-    v_i = inside(best)[2].v[i]
+    v_i = inside(best)[2][i]
     if best <= (1.0 - v_i) * v_i / price * (1.0 - 1e-9):
         raise NumericalError("optimum below its structural floor", code="sign-violation")
     return best
@@ -363,40 +389,50 @@ def convexity_verdicts(g: Graph, rates: RateConfig) -> list[list[str]]:
     state is solved and linearized once and serves every node's sweep.
     The other points are reached by continuation from it, outward in two
     chains (1.0, 1.25, 1.5 and 1.0, 0.8, 0.6): each is predicted to second
-    order from the point before and corrected by Newton steps.  Both chain
-    steps advance every node's sweep together as numpy stacks, each row with
-    its own regime test, Newton stop and checks; a row that fails there is
-    reached alone, by ``solve`` if need be, and raises that route's error.
+    order from the point before and corrected by Newton steps, or solved
+    where those fail.  Both chain steps advance every node's sweep together
+    as one stack, each row with its own regime test and Newton stop; the
+    first row whose solve or linearization fails raises its error.
     """
-    return _sweep(g, rates, _continued(g, rates, 0, rates.delta[0], None, None))  # the rates as given
+    if not _endemic(g, rates):
+        return _sweep(g, rates, None)
+    return _sweep(g, rates, _Linearization.at(g, rates, solve(g, rates, tol=_SOLVE_TOL).v_inf))
 
 
-def _continued(g: Graph, rates: RateConfig, i: int, delta_i: float, near, slopes) -> _Linearization | None:
-    """_Linearization with delta_i at node i; None if extinct or on the surface.
+def _endemic(g: Graph, trial: RateConfig) -> np.ndarray:
+    """Whether each configuration of trial (over the leading axis of trial.tau)
+    is endemic, by the rule of solve."""
+    root = np.sqrt(trial.tau)
+    r = root[..., :, None] * g.adjacency  # effective_adjacency of each configuration
+    r *= root[..., None, :]
+    return np.reshape([_side(m) > 0 for m in r.reshape(-1, g.n, g.n)], r.shape[:-2])
 
-    The one route to a state at a changed curing rate, for the convexity
-    sweeps and for optimal_curing_rate.  near is a nearby endemic point (the
-    sweep's previous point, the last point walked or the search's pivot)
-    and slopes = near.along(e_i): the state is predicted as
-    v + h x + h^2 x'/2 at the step h in delta_i and corrected by Newton
-    steps.  A prediction outside (0, 1) or a failed correction falls back
-    to ``solve``, as does a point with no endemic point to start from (near
-    is None: a base state, or any point before an endemic one is reached).
+
+def _advance(g: Graph, trial: RateConfig, nodes, delta_i, near) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The continuation step of the module docstring: (v, x, x') at the
+    points of trial = _rates_with(rates, nodes, delta_i), each endemic by
+    _endemic, with (x, x') along e_i.  nodes and delta_i are shaped (...),
+    one point per entry, and near = (delta_i, v, x, x') holds a nearby
+    endemic point of each (the sweep's previous point, the last point
+    walked or the search's pivot), nan where there is none; near None: no
+    point has one.  A point that the Newton steps do not bring to
+    convergence from its prediction, a missing one included, is solved and
+    raises the errors of solve; the first point whose linearization fails
+    raises its error.
     """
-    trial = _rates_with(rates, i, delta_i)
-    if _side(effective_adjacency(g, trial.tau)) <= 0:
-        return None  # extinct or on the surface, by the rule of solve
-    ss = None
-    if near is not None:
-        h = delta_i - near.delta[i]
-        x, curvature = slopes
-        try:
-            ss = _corrected(g, trial, near.v + h * x + 0.5 * h**2 * curvature, _SOLVE_TOL)
-        except NumericalError:
-            pass  # solve decides, and raises its own errors
-    if ss is None:
-        ss = solve(g, trial, tol=_SOLVE_TOL)
-    return _Linearization.at(g, trial, ss)
+    if near is None:
+        guess = np.full(trial.delta.shape, np.nan)
+    else:
+        prior, v, x, curvature = near
+        h = np.asarray(delta_i - prior)[..., None]
+        guess = v + h * x + 0.5 * h**2 * curvature
+    v, _, _, stop = _newton(g, trial, guess, _SOLVE_TOL, _MAX_ITER)
+    v_rows, delta_rows, tau_rows = (f.reshape(-1, g.n) for f in (v, trial.delta, trial.tau))  # one row per point
+    for k in np.flatnonzero(stop != _CONVERGED):  # solve decides, and raises its own errors
+        v_rows[k] = solve(g, replace(trial, delta=delta_rows[k], tau=tau_rows[k]), tol=_SOLVE_TOL).v_inf
+    unit = np.arange(g.n) == np.asarray(nodes)[..., None]
+    x, curvature = _Linearization.at(g, trial, v).along(unit[..., None])
+    return v, x[..., 0], curvature[..., 0]
 
 
 def _sweep(g: Graph, rates: RateConfig, base: _Linearization | None) -> list[list[str]]:
@@ -411,102 +447,35 @@ def _sweep(g: Graph, rates: RateConfig, base: _Linearization | None) -> list[lis
     high = np.full((n, n), -np.inf)
     points = np.zeros(n, dtype=int)  # endemic sweep points of each node
 
-    def record(nodes, curvature, endemic):
-        cols = nodes[endemic]
-        np.minimum.at(low.T, cols, curvature[endemic])
-        np.maximum.at(high.T, cols, curvature[endemic])
-        np.add.at(points, cols, 1)
+    def record(nodes, curvature):  # endemic points of the sweeps of nodes, d^2 v / d delta_i^2 per row
+        np.minimum.at(low.T, nodes, curvature)
+        np.maximum.at(high.T, nodes, curvature)
+        np.add.at(points, nodes, 1)
 
     nodes = np.tile(np.arange(n), len(_CHAINS))  # row k follows node nodes[k] along chain factors[k]
     factors = np.repeat(np.array(_CHAINS), n, axis=0)
-    if base is None:  # no row has an endemic point to start from
-        fields = (np.full(n, np.nan),) * 2 + (np.full((n, n), np.nan),) * 2
-        slopes = (np.full((n, n), np.nan),) * 2
-    else:
-        fields, slopes = (base.v, base.delta, base.s, base.inv), base.along(np.eye(n))  # column i along e_i
-        record(np.arange(n), slopes[1].T, np.ones(n, dtype=bool))
-    origin = tuple(np.broadcast_to(f, (n,) + f.shape) for f in fields) + tuple(f.T for f in slopes)
+    if base is not None:  # row i of origin is node i's point at factor 1.0, (x, x') along e_i
+        origin = (rates.delta, np.broadcast_to(base.v, (n, n)), *(f.T for f in base.along(np.eye(n))))
+        record(np.arange(n), origin[3])
     size = max(1, _STACK_DOUBLES // n**2)
     for first in range(0, len(nodes), size):
-        rows = slice(first, first + size)
-        near = tuple(f[nodes[rows]] for f in origin)
-        endemic = np.full(len(near[0]), base is not None)
-        for factor in factors[rows].T:
-            near, endemic = _advance(g, rates, nodes[rows], factor, near, endemic)
-            record(nodes[rows], near[5], endemic)
+        rows = nodes[first : first + size]
+        near = None if base is None else tuple(f[rows] for f in origin)
+        for factor in factors[first : first + size].T:
+            delta_i = rates.delta[rows] * factor
+            trial = _rates_with(rates, rows, delta_i)
+            endemic = _endemic(g, trial)
+            trial = replace(trial, delta=trial.delta[endemic], tau=trial.tau[endemic])
+            ahead = np.full((3, len(rows), n), np.nan)  # (v, x, x') of each row, nan where not endemic
+            ahead[:, endemic] = _advance(
+                g, trial, rows[endemic], delta_i[endemic], None if near is None else tuple(f[endemic] for f in near)
+            )
+            record(rows[endemic], ahead[2, endemic])
+            near = (delta_i, *ahead)
     band = _DEADBAND / float(rates.delta.max()) ** 2
     verdicts = np.where(low >= -band, "convex", np.where(high <= band, "concave", "indefinite"))
     verdicts[:, points < 2] = "indefinite"
     return verdicts.tolist()
-
-
-def _rates_with_stack(rates: RateConfig, nodes: np.ndarray, delta_i: np.ndarray) -> RateConfig:
-    """_rates_with for a stack: row k is rates with delta_i[k] at node nodes[k],
-    in delta and tau with a leading axis; beta and gamma are shared."""
-    k = np.arange(len(nodes))
-    delta = np.tile(rates.delta, (len(nodes), 1))
-    tau = np.tile(rates.tau, (len(nodes), 1))
-    delta[k, nodes] = delta_i
-    tau[k, nodes] = rates.beta[nodes] / delta_i
-    return replace(rates, delta=delta, tau=tau)
-
-
-def _advance(g: Graph, rates: RateConfig, nodes: np.ndarray, scale: np.ndarray, near: tuple, endemic: np.ndarray):
-    """One chain step of sweeps: row k moves node i = nodes[k] to delta_i times scale[k].
-
-    near holds each row's previous sweep point as stacks (v, delta, S,
-    S^{-1}, x, x'), with (x, x') along e_i, valid where endemic is True.
-    The rows with an endemic previous point advance together: each row's
-    regime comes from _side, its state is predicted as _continued predicts
-    it and corrected by _corrected_stack, and the stack is linearized with
-    the tests of _Linearization.at and the sign test of along.  Every other
-    row, and every row that fails one of those steps, is reached by
-    _continued, which raises its route's error.  Returns (near, endemic) at
-    the new points, endemic False where a point is extinct or on the
-    surface.
-    """
-    n, delta_i = g.n, rates.delta[nodes] * scale
-    out = tuple(np.full(f.shape, np.nan) for f in near)
-    fallback = ~endemic
-
-    live = np.flatnonzero(endemic)
-    trial = _rates_with_stack(rates, nodes[live], delta_i[live])
-    root = np.sqrt(trial.tau)
-    r = root[:, :, None] * g.adjacency  # effective_adjacency of each row
-    r *= root[:, None, :]
-    above = np.array([_side(m) > 0 for m in r], dtype=bool)  # the regime by the rule of solve
-    live, trial = live[above], replace(trial, delta=trial.delta[above], tau=trial.tau[above])
-    v, delta, _, _, x, curvature = (f[live] for f in near)
-    h = (delta_i[live] - delta[np.arange(len(live)), nodes[live]])[:, None]
-    v, residual = _corrected_stack(g, trial, v + h * x + 0.5 * h**2 * curvature, _SOLVE_TOL)
-
-    s = _jacobian(g, trial, v)
-    root = np.sqrt(rates.beta)
-    shifted = root[:, None] * s / root[None, :]  # the symmetric form of S, less the PD floor
-    shifted.reshape(len(s), n * n)[:, :: n + 1] -= _PD_FLOOR * trial.delta.max(axis=1)[:, None]
-    inv, invertible = _stacked(np.linalg.inv, s)
-    cond = np.abs(s).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)  # 1-norms
-    k, cols = np.arange(len(live)), nodes[live]
-    x = -(inv[k, :, cols] * (v[k, cols] / (1.0 - v[k, cols]))[:, None])  # along(e_i), from column i
-    unit = np.zeros_like(v)
-    unit[k, cols] = 1.0
-    w = 2.0 * trial.delta * x**2 / (1.0 - v) ** 3 + 2.0 * unit * x / (1.0 - v) ** 2
-    ok = np.isfinite(residual) & _stacked(np.linalg.cholesky, shifted)[1] & invertible & (cond <= _COND_LIMIT)
-    ok &= x.max(axis=1) * trial.delta.max(axis=1) <= 1e-10  # x is in units of 1 / rate
-    fallback[live[~ok]] = True
-    for f, value in zip(out, (v, trial.delta, s, inv, x, -(inv @ w[..., None])[..., 0])):
-        f[live[ok]] = value[ok]
-    reached = np.zeros(len(nodes), dtype=bool)
-    reached[live[ok]] = True
-
-    for j in np.flatnonzero(fallback):
-        prior = _Linearization(*(f[j] for f in near[:4])) if endemic[j] else None
-        lin = _continued(g, rates, nodes[j], delta_i[j], prior, (near[4][j], near[5][j]))
-        if lin is not None:
-            for f, value in zip(out, (lin.v, lin.delta, lin.s, lin.inv, *lin.along(np.eye(n)[nodes[j]]))):
-                f[j] = value
-            reached[j] = True
-    return out, reached
 
 
 def inverse_checks(g: Graph, rates: RateConfig, ss: SteadyState) -> dict:
@@ -518,7 +487,7 @@ def inverse_checks(g: Graph, rates: RateConfig, ss: SteadyState) -> dict:
     The symmetric upper bound only applies when all infection rates are
     equal (S is then symmetric) and is marked inapplicable otherwise.
     """
-    return _ledger(g, rates, ss.v_inf, _Linearization.at(g, rates, ss).inv)
+    return _ledger(g, rates, ss.v_inf, _linearized(g, rates, ss).inv)
 
 
 def _ledger(g: Graph, rates: RateConfig, v: np.ndarray, inv: np.ndarray) -> dict:
@@ -616,11 +585,11 @@ def full_report(g: Graph, rates: RateConfig, ss: SteadyState | None = None) -> S
     """
     if ss is None:
         ss = solve(g, rates, tol=_SOLVE_TOL)
-    lin = _Linearization.at(g, rates, ss)
+    lin = _linearized(g, rates, ss)
     if float(lin.inv.min()) * float(rates.delta.max()) < -1e-10:  # S^{-1} is in units of 1 / rate
         raise NumericalError("negative entry in inverse sensitivity matrix", code="sign-violation")
     d1, d2 = lin.along(np.eye(g.n))
-    d1_tied, d2_tied = lin.along(np.ones(g.n)) if _uniform(rates.delta) else (None, None)
+    d1_tied, d2_tied = (f[:, 0] for f in lin.along(np.ones((g.n, 1)))) if _uniform(rates.delta) else (None, None)
     return SensitivityReport(
         s_matrix=lin.s,
         s_inverse=lin.inv,

@@ -84,11 +84,14 @@ def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, x
 
 
-def _below(m: np.ndarray, c: float) -> bool:
+def _below(m: np.ndarray, c) -> bool:
     """Whether every eigenvalue of the symmetric m is below c, that is,
-    whether c I - m has a Cholesky factorization."""
+    whether c I - m has a Cholesky factorization.  For a stack m shaped
+    (..., n, n), with c a number or shaped (..., 1), whether that holds for
+    every matrix of the stack."""
+    n = m.shape[-1]
     shifted = np.negative(m)
-    shifted.flat[:: m.shape[0] + 1] += c
+    shifted.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] += c
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -21,9 +21,12 @@ steps v <- v + S^{-1} F(v), with S = diag(delta/(1 - v)^2) - A diag(beta)
 the Jacobian of -F.  -F is convex for v < 1, S has a nonnegative inverse
 there and every map iterate has F <= 0, so the Newton iterates also
 decrease monotonically onto the fixed point (the monotone Newton
-theorem, Ortega & Rheinboldt 1970, 13.3).  The regime comes from two
-Cholesky attempts, not an eigensolve: lambda_max(R) < c exactly when
-c I - R is positive definite.
+theorem, Ortega & Rheinboldt 1970, 13.3).  The Newton steps take a
+leading axis of states, so that the continuation of ``sensitivity``
+corrects its predictions, one point or a stack of them, by the same
+steps and stop rules.  The regime comes from two Cholesky attempts, not
+an eigensolve: lambda_max(R) < c exactly when c I - R is positive
+definite.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ _TOL = 1e-10  # solve's default tolerance and iteration cap
 _MAX_ITER = 10**6
 _NEWTON_AFTER = 200  # predicted map steps beyond which solve takes Newton steps; one costs ~35 map steps at n = 200
 _IDENTITY_TOL = 1e-7
+_CONVERGED, _STALLED, _OUTSIDE, _SINGULAR, _MAX_STEPS = range(5)  # the rules by which a state of _newton stops
 
 
 def _side(r: np.ndarray) -> int:
@@ -71,11 +75,9 @@ class SteadyState:
 
     v_tilde = beta * v_inf, w = A (beta * v_inf) + delta, and the
     residual is max_i |sum_j a_ij beta_j v_j - v_i delta_i / (1 - v_i)|
-    in units of max_i delta_i.  path is "extinct", "map" or "map+newton"
-    from ``solve``, or "newton" for a state corrected by Newton steps from
-    an estimate (the continuation of ``sensitivity``, which serves its
-    convexity sweeps and its optimal curing rate); iterations
-    counts map and Newton steps together.
+    in units of max_i delta_i.  path is "extinct", "map" or "map+newton":
+    which steps of ``solve`` ran; iterations counts map and Newton steps
+    together.
     """
 
     v_inf: np.ndarray
@@ -103,10 +105,14 @@ def _orbit(g: Graph, rates: RateConfig, v: np.ndarray):
         v = pressure / (delta + pressure)
 
 
-def _no_convergence(tol: float, k: int, residual: float, stalled: bool) -> NumericalError:
+def _no_convergence(tol: float, k: int, residual: float, stop: int) -> NumericalError:
+    """The error of a solve that stopped after k steps by stop, a rule of _newton."""
+    if stop in (_OUTSIDE, _SINGULAR):
+        failure = "iterate outside (0, 1)" if stop == _OUTSIDE else "system singular"
+        return NumericalError(f"Newton {failure}", code="no-convergence")
     return NumericalError(
         f"fixed-point iteration did not reach tolerance {tol:g} in {k} iterations "
-        f"({'stalled at residual floor' if stalled else 'residual'} {residual:.3e})",
+        f"({'stalled at residual floor' if stop == _STALLED else 'residual'} {residual:.3e})",
         code="no-convergence",
     )
 
@@ -127,23 +133,20 @@ def _iterate(g: Graph, rates: RateConfig, tol: float, max_iter: int):
         if residual <= tol * (1.0 - rho):
             return v, k, residual, True
         if k == max_iter:
-            raise _no_convergence(tol, k, residual, False)
+            raise _no_convergence(tol, k, residual, _MAX_STEPS)
         # log(tol (1 - rho) / residual) / log(rho) more steps are due
         if rho >= 1.0 or 0.0 < rho and np.log(tol * (1.0 - rho) / residual) < _NEWTON_AFTER * np.log(rho):
             return v, k, residual, False
         earlier, last = last, residual
 
 
-def _jacobian(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
+def _jacobian(g: Graph, beta: np.ndarray, delta: np.ndarray, v: np.ndarray) -> np.ndarray:
     """S = diag(delta/(1 - v)^2) - A diag(beta), the Jacobian of -F at v, in one array;
-    one S per row when v and rates.delta carry a leading stack axis."""
-    s = g.adjacency * rates.beta
-    np.subtract(0.0, s, out=s)  # +0.0 off the edges, where a plain negation would leave -0.0
-    if v.ndim == 1:
-        s.flat[:: g.n + 1] = rates.delta / (1.0 - v) ** 2  # over the zero diagonal of A
-    else:
-        s = np.repeat(s[None], len(v), axis=0)
-        s.reshape(len(v), g.n * g.n)[:, :: g.n + 1] = rates.delta / (1.0 - v) ** 2
+    one S per state when v and delta, shaped (..., n), carry leading axes."""
+    n = g.n
+    s = np.zeros(v.shape + (n,))  # one S per state
+    s -= g.adjacency * beta  # +0.0 off the edges, where a plain negation would leave -0.0
+    s.reshape(v.shape[:-1] + (n * n,))[..., :: n + 1] = delta / (1.0 - v) ** 2  # over the zero diagonal of A
     return s
 
 
@@ -168,40 +171,60 @@ def _stacked(linalg_op, *stacks):
     return np.array(out), np.array(ok)
 
 
-def _newton_orbit(g: Graph, rates: RateConfig, v: np.ndarray):
-    """Newton iterates v <- v + S^{-1} F(v) from v, each with F(v) and the
-    size max|S^{-1} F| of the step that led to it (inf for v itself).
-    An iterate outside (0, 1), v itself included, raises ``no-convergence``."""
-    a = g.adjacency
-    beta, delta = rates.beta, rates.delta
-    step = np.inf
-    while True:
-        if not 0.0 < v.min() <= v.max() < 1.0:  # also false when an entry is nan
-            raise NumericalError("Newton iterate outside (0, 1)", code="no-convergence")
-        f = a @ (beta * v) - v * delta / (1.0 - v)
-        yield v, f, step
-        try:
-            increment = np.linalg.solve(_jacobian(g, rates, v), f)
-        except np.linalg.LinAlgError:
-            raise NumericalError("Newton system singular", code="no-convergence") from None
-        v, step = v + increment, float(np.abs(increment).max())
+def _newton(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: int):
+    """Newton steps v <- v + S^{-1} F(v) from estimates v of endemic states.
 
+    v and rates.delta are shaped (..., n), one state and its system per
+    entry of the leading axes (none for one state), and beta is shared.
+    Each state steps until a stop rule holds: _CONVERGED once its residual
+    (in units of its own max delta) and its last step are both at most tol,
+    _STALLED at a step no smaller than the one before it, _OUTSIDE at an
+    iterate outside (0, 1), its start included, _SINGULAR at a singular S
+    and _MAX_STEPS after max_iter steps.  Returns each state's (v, residual,
+    steps, stop): its last iterate, that iterate's residual (inf where the
+    iterate is outside (0, 1)) and the steps that led to it.
+    """
+    a, beta, n = g.adjacency, rates.beta, g.n
+    shape = v.shape[:-1]
+    u, d = v.reshape(-1, n), rates.delta.reshape(-1, n)
+    out, residual = np.empty_like(u), np.empty(len(u))
+    steps, stop = np.empty(len(u), dtype=int), np.empty(len(u), dtype=int)
+    going = np.ones(len(u), dtype=bool)  # every state is recorded once, when it stops
 
-def _newton_finish(g: Graph, rates: RateConfig, v: np.ndarray, k: int, tol: float, max_iter: int):
-    """Newton steps from the k-th map iterate until the residual and the
-    last step both meet tol: (v, steps, residual)."""
-    scale = float(rates.delta.max())
-    last = None
-    for v, f, step in _newton_orbit(g, rates, v):
-        residual = float(np.abs(f).max()) / scale
-        if residual <= tol and step <= tol:
-            return v, k, residual
+    def settle(stopping, code, u, res, k):
+        """Record the stepping states (compacted, in row order) where stopping
+        holds, each with its code; returns the mask of the others."""
+        ended = going.copy()
+        ended[going] = stopping
+        out[ended], residual[ended], steps[ended], stop[ended] = u[stopping], res[stopping], k, code[stopping]
+        going[ended] = False
+        return ~stopping
+
+    # the stepping states, compacted: iterate, residual unit, whether the step
+    # to the iterate solved, and the sizes of that step and the one before it
+    scale, solved = d.max(axis=1), np.ones(len(u), dtype=bool)
+    step, last = np.full(len(u), np.inf), np.full(len(u), np.nan)
+    for k in range(max_iter + 1):
+        if len(u) and not 0.0 < u.min() <= u.max() < 1.0:  # also true where an entry is nan, as after a singular S
+            inside = (0.0 < u.min(axis=1)) & (u.max(axis=1) < 1.0)
+            keep = settle(~inside, np.where(solved, _OUTSIDE, _SINGULAR), u, np.full(len(u), np.inf), k)
+            u, d, scale, step, last = u[keep], d[keep], scale[keep], step[keep], last[keep]
+        if not len(u):
+            break
+        f = (a @ (beta * u)[..., None])[..., 0] - u * d / (1.0 - u)  # row by row, as for one state
+        res = np.abs(f).max(axis=1) / scale
+        converged = np.maximum(res, step) <= tol
         # monotone Newton steps shrink until rounding error dominates them
-        stalled = last is not None and step >= last
-        if stalled or k == max_iter:
-            raise _no_convergence(tol, k, residual, stalled)
-        last = step
-        k += 1
+        ended = converged | (step >= last)
+        if k == max_iter or ended.any():
+            code = np.where(converged, _CONVERGED, np.where(ended, _STALLED, _MAX_STEPS))
+            keep = settle(ended | (k == max_iter), code, u, res, k)
+            if not keep.any():
+                break
+            u, d, scale, step, f, res = u[keep], d[keep], scale[keep], step[keep], f[keep], res[keep]
+        increment, solved = _stacked(np.linalg.solve, _jacobian(g, beta, d, u), f[..., None])
+        u, last, step = u + increment[..., 0], step, np.abs(increment[..., 0]).max(axis=1)
+    return out.reshape(v.shape), residual.reshape(shape), steps.reshape(shape), stop.reshape(shape)
 
 
 def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_ITER) -> SteadyState:
@@ -232,57 +255,10 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
     v, iterations, residual, converged = _iterate(g, rates, tol, max_iter)
     if converged:
         return _steady_state(g, rates, v, iterations, residual, "map")
-    return _steady_state(g, rates, *_newton_finish(g, rates, v, iterations, tol, max_iter), "map+newton")
-
-
-def _corrected(g: Graph, rates: RateConfig, guess: np.ndarray, tol: float) -> SteadyState:
-    """Endemic state by Newton steps from guess, an estimate of it (path "newton").
-
-    The caller has decided that rates are endemic.  Stops as the Newton
-    finish of ``solve`` does, once the residual and the last step are both
-    at most tol; every failure of the steps, a guess outside (0, 1)
-    included, raises ``no-convergence`` from ``_newton_orbit``.
-    """
-    return _steady_state(g, rates, *_newton_finish(g, rates, guess, 0, tol, _MAX_ITER), "newton")
-
-
-def _corrected_stack(g: Graph, rates: RateConfig, guess: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """_corrected on a stack of endemic systems: rates.delta and guess carry a
-    leading axis, one system and its estimate per row, and beta is shared.
-
-    Each row takes Newton steps until it stops by the rule of _newton_finish,
-    its residual (in units of its own max delta) and its last step both at most
-    tol.  Returns (v, residual).  A row whose iterate leaves (0, 1), whose step
-    stalls, whose system is singular or that reaches _MAX_ITER steps stops with
-    residual inf; its v is then no steady state, but it lies inside (0, 1).
-    """
-    a, beta, delta = g.adjacency, rates.beta, rates.delta
-    scale = delta.max(axis=1)
-    inside = (0.0 < guess.min(axis=1)) & (guess.max(axis=1) < 1.0)  # also false where an entry is nan
-    rows = np.flatnonzero(inside)  # rows still stepping
-    v = np.where(inside[:, None], guess, 0.5)  # each row's last iterate inside (0, 1), 0.5 if none
-    residual = np.full(len(v), np.inf)
-    step = np.full(len(v), np.inf)  # size of the step that led to each row's iterate
-    last = np.full(len(v), np.nan)  # and of the step before it (nan: none, so no stall)
-    for k in range(_MAX_ITER + 1):
-        if not rows.size:
-            break
-        u = v[rows]
-        f = (beta * u) @ a - u * delta[rows] / (1.0 - u)  # a is symmetric
-        res = np.abs(f).max(axis=1) / scale[rows]
-        done = (res <= tol) & (step[rows] <= tol)
-        residual[rows[done]] = res[done]
-        # monotone Newton steps shrink until rounding error dominates them
-        going = ~done & ~(step[rows] >= last[rows]) & (k < _MAX_ITER)
-        rows, f = rows[going], f[going]
-        last[rows] = step[rows]
-        increment, solved = _stacked(np.linalg.solve, _jacobian(g, rates, v)[rows], f[..., None])
-        new = v[rows] + increment[..., 0]
-        inside = solved & (0.0 < new.min(axis=1)) & (new.max(axis=1) < 1.0)
-        rows = rows[inside]
-        v[rows] = new[inside]
-        step[rows] = np.abs(increment[inside, :, 0]).max(axis=1)
-    return v, residual
+    v, residual, steps, stop = _newton(g, rates, v, tol, max_iter - iterations)
+    if stop != _CONVERGED:
+        raise _no_convergence(tol, iterations + int(steps), float(residual), stop)
+    return _steady_state(g, rates, v, iterations + int(steps), float(residual), "map+newton")
 
 
 def _steady_state(

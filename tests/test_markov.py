@@ -1,4 +1,4 @@
-"""Exact 2^N chain and event-driven simulator.
+"""Exact 2^N chain and the thinned (uniformized) simulator.
 
 The chain is validated against dense matrix exponentials and hand-built
 small cases; the simulator against bit-reproducibility contracts and the

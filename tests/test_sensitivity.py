@@ -8,6 +8,7 @@ Closed forms on the triangle with beta = delta = 1 (v = 1/2):
 """
 
 import functools
+from dataclasses import replace
 import json
 import re
 
@@ -485,16 +486,21 @@ def test_optimal_curing_rate_is_independent_of_the_time_unit(name):
 
 def counted_evaluations(monkeypatch) -> list:
     """Patch sensitivity's solver and its continuation corrector to record
-    each call's name ("solve" or "_corrected") in the returned list."""
+    each solve ("solve") and each state corrected from a prediction
+    ("_newton") in the returned list."""
     calls = []
-    for name in ("solve", "_corrected"):
-        original = getattr(sensitivity, name)
+    solve_, newton = sensitivity.solve, sensitivity._newton
 
-        def counting(*args, name=name, original=original, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
+    def counting_solve(*args, **kwargs):
+        calls.append("solve")
+        return solve_(*args, **kwargs)
 
-        monkeypatch.setattr(sensitivity, name, counting)
+    def counting_newton(g, rates, guess, *args):
+        calls.extend(["_newton"] * int(np.isfinite(guess).all(axis=-1).sum()))
+        return newton(g, rates, guess, *args)
+
+    monkeypatch.setattr(sensitivity, "solve", counting_solve)
+    monkeypatch.setattr(sensitivity, "_newton", counting_newton)
     return calls
 
 
@@ -560,7 +566,7 @@ def residual_profile(monkeypatch, g, r, i, price):
 
     def recording(self, u):
         x, x2 = along(self, u)
-        seen.append((float(self.delta[i]), float(x[i])))
+        seen.extend(zip(self.delta[..., i].ravel().tolist(), x[..., i, 0].ravel().tolist()))
         return x, x2
 
     monkeypatch.setattr(sensitivity._Linearization, "along", recording)
@@ -733,11 +739,11 @@ def test_sweeps_raise_a_stalled_solve_deep_in_the_endemic_regime():
     assert outcome(optimal_curing_rate, g, r, 0, 0.01) != "no-interior-optimum"
 
 
-def failing_at_one_scaled_point(monkeypatch, base, factor, name="solve"):
-    """Patch sensitivity's solver (or its sweep corrector) to raise no-convergence
-    where node 0's curing rate is factor times its base value; returns the
-    list of rates at which the patched function was called."""
-    original = getattr(sensitivity, name)
+def failing_at_one_scaled_point(monkeypatch, base, factor):
+    """Patch sensitivity's solver to raise no-convergence where node 0's curing
+    rate is factor times its base value; returns the list of rates at which
+    the patched function was called."""
+    original = sensitivity.solve
     calls = []
 
     def run_or_fail(g, rates, *args, **kwargs):
@@ -746,47 +752,45 @@ def failing_at_one_scaled_point(monkeypatch, base, factor, name="solve"):
             raise NumericalError("stalled", code="no-convergence")
         return original(g, rates, *args, **kwargs)
 
-    monkeypatch.setattr(sensitivity, name, run_or_fail)
+    monkeypatch.setattr(sensitivity, "solve", run_or_fail)
     return calls
 
 
 def failing_stack_row(monkeypatch, base, factor) -> list:
-    """Patch the sweeps' stacked corrector to fail the row where node 0's curing
-    rate is factor times its base value; returns the curing rates of every
-    row it was given."""
-    original = sensitivity._corrected_stack
+    """Patch the continuation's corrector to stall every state where node 0's
+    curing rate is factor times its base value; returns the curing rates of
+    every state it was given."""
+    original = sensitivity._newton
     rows = []
 
     def run_or_fail(g, rates, *args):
-        v, residual = original(g, rates, *args)
-        rows.extend(rates.delta)
-        residual[np.isclose(rates.delta[:, 0], factor * base.delta[0], rtol=1e-12)] = np.inf
-        return v, residual
+        v, residual, steps, stop = original(g, rates, *args)
+        rows.extend(np.reshape(rates.delta, (-1, g.n)))
+        stop[np.isclose(rates.delta[..., 0], factor * base.delta[0], rtol=1e-12)] = steady_state._STALLED
+        return v, residual, steps, stop
 
-    monkeypatch.setattr(sensitivity, "_corrected_stack", run_or_fail)
+    monkeypatch.setattr(sensitivity, "_newton", run_or_fail)
     return rows
 
 
 def test_convexity_verdicts_raise_a_failed_sweep_solve(monkeypatch):
-    # the stacked corrector fails node 0's 0.8 row, and so do the corrector and
-    # the solve of the route it falls back to
+    # the corrector fails node 0's 0.8 row, which goes to solve, and so does
+    # that solve
     g = complete_graph(5)
     r = homogeneous_rates(g, 1.0)
     rows = failing_stack_row(monkeypatch, r, 0.8)
-    corrections = failing_at_one_scaled_point(monkeypatch, r, 0.8, "_corrected")
-    failing_at_one_scaled_point(monkeypatch, r, 0.8)
+    solves = failing_at_one_scaled_point(monkeypatch, r, 0.8)
     with pytest.raises(NumericalError) as info:
         convexity_verdicts(g, r)
     assert info.value.code == "no-convergence"
     assert any(np.isclose(delta[0], 0.8) for delta in rows)
-    assert corrections and np.isclose(corrections[-1].delta[0], 0.8)
+    assert solves and np.isclose(solves[-1].delta[0], 0.8)
 
 
 def test_convexity_verdicts_fall_back_to_solve_where_the_corrector_fails(monkeypatch):
     g, r, _ = convexity_cases()["random8-leaves-endemic"]
     expected, _ = loop_convexity_verdicts(g, r)
     failing_stack_row(monkeypatch, r, 0.8)
-    failing_at_one_scaled_point(monkeypatch, r, 0.8, "_corrected")
     solves = failing_at_one_scaled_point(monkeypatch, r, np.inf)  # counts, never fails
     assert convexity_verdicts(g, r) == expected
     # the base state, then the one point the corrector could not reach
@@ -808,15 +812,15 @@ def newton_reference(g, rates):
 def test_corrected_sweep_states_match_newton(name, monkeypatch):
     g, r, _ = convexity_cases()[name]
     states = []
-    corrected = sensitivity._corrected_stack
+    corrected = sensitivity._newton
 
     def recording(g, rates, *args):
-        v, residual = corrected(g, rates, *args)
-        for k in np.flatnonzero(np.isfinite(residual)):
+        v, residual, steps, stop = corrected(g, rates, *args)
+        for k in np.flatnonzero(stop == steady_state._CONVERGED):
             states.append((RateConfig.for_graph(g, rates.beta, rates.delta[k]), v[k], residual[k]))
-        return v, residual
+        return v, residual, steps, stop
 
-    monkeypatch.setattr(sensitivity, "_corrected_stack", recording)
+    monkeypatch.setattr(sensitivity, "_newton", recording)
     convexity_verdicts(g, r)
     # from an endemic base, both points of every node's downward chain are endemic and corrected
     base_endemic = solve(g, r, tol=1e-12).regime == "endemic"
@@ -825,6 +829,53 @@ def test_corrected_sweep_states_match_newton(name, monkeypatch):
         assert 0.0 < v.min() and v.max() < 1.0 and residual <= 1e-12
         reference = newton_reference(g, rates)
         assert np.abs(v - reference).max() <= 1e-11 * np.abs(reference).min()
+
+
+def test_stacked_rows_equal_one_state_calls():
+    # one corrector and one linearization over a leading axis: every row of a
+    # stack gets, bit for bit, what the same call gives that row alone, and a
+    # failing row neither changes its neighbours nor loses its own stop
+    # on this star, a stack forms F = A (beta v) in other bits than row by row
+    g = star_graph(12)
+    base = RateConfig.for_graph(g, 2.0, 1.0)
+    deltas = np.ones((6, g.n))
+    deltas[[0, 1, 2, 3], [0, 1, 0, 0]] = 4.0, 0.7, 8.0, 1e-3  # row 3 stalls at its residual floor
+    # at v = 1/2, S = diag(4, 2, 4, 8, ..., 1024, 1024) - 2 A, whose LU
+    # factorization meets an exact zero pivot
+    deltas[4] = [1.0] + [2.0**k for k in range(-1, 9)] + [256.0]
+
+    def rates(k):
+        return replace(base, delta=deltas[k], tau=base.beta / deltas[k])
+
+    guesses = [solve(g, rates(k), tol=1e-12).v_inf * factor for k, factor in enumerate((0.97, 1.02, 1.02))]
+    guesses.append(steady_state._iterate(g, rates(3), 1e-12, 10**6)[0])  # the map hands it over unconverged
+    guesses += [np.full(g.n, 0.5), np.where(np.arange(g.n) == 2, 1.0, 0.5)]
+    stack = steady_state._newton(g, rates(slice(None)), np.array(guesses), 1e-12, 10**6)
+    stops = [steady_state._CONVERGED] * 3 + [steady_state._STALLED, steady_state._SINGULAR, steady_state._OUTSIDE]
+    assert stack[3].tolist() == stops
+    for k, guess in enumerate(guesses):
+        alone = steady_state._newton(g, rates(k), guess, 1e-12, 10**6)
+        assert np.array_equal(stack[0][k], alone[0], equal_nan=True), k
+        assert all(np.array_equal(field[k], one) for field, one in zip(stack[1:], alone[1:])), k
+    assert "stalled at residual floor" in str(steady_state._no_convergence(1e-12, 9, stack[1][3], stack[3][3]))
+    assert "singular" in str(steady_state._no_convergence(1e-12, 9, stack[1][4], stack[3][4]))
+
+    def linearized(k, v, nodes):
+        lin = sensitivity._Linearization.at(g, rates(k), v)
+        return (lin.s, lin.inv, *lin.along((np.arange(g.n) == nodes[..., None])[..., None]))
+
+    states, nodes = stack[0].copy(), np.array([0, 1, 0, 0, 0, 0])
+    states[4] = 0.5  # where S is singular
+    together = linearized(slice(0, 3), states[:3], nodes[:3])
+    for k in range(3):
+        alone = linearized(k, states[k], nodes[k])
+        assert all(np.array_equal(field[k], one) for field, one in zip(together, alone)), k
+    # the singular state fails the floor of S, alone and behind two neighbours that pass it
+    with pytest.raises(NumericalError, match="not positive definite") as alone:
+        linearized(4, states[4], nodes[4])
+    with pytest.raises(NumericalError) as info:
+        linearized([0, 1, 4], states[[0, 1, 4]], nodes[[0, 1, 4]])
+    assert str(info.value) == str(alone.value) and info.value.code == "near-critical"
 
 
 def test_trial_rates_equal_a_validated_configuration():
@@ -841,7 +892,7 @@ def test_trial_rates_equal_a_validated_configuration():
             value = getattr(trial, name)
             assert np.array_equal(value, getattr(expected, name)), (i, name)
             assert not value.flags.writeable, (i, name)
-        stack = sensitivity._rates_with_stack(r, np.array([i, i]), np.array([delta_i, r.delta[i]]))
+        stack = sensitivity._rates_with(r, np.array([i, i]), np.array([delta_i, r.delta[i]]))
         assert np.array_equal(stack.delta, [expected.delta, r.delta]), i  # the sweeps' row of this rate
         assert np.array_equal(stack.tau, [expected.tau, r.tau]), i
 
@@ -851,12 +902,13 @@ def test_optimal_curing_rate_raises_a_failed_walk_solve(monkeypatch):
     g, r, i, price = optimum_cases()["k3-below"]  # walks down from delta_0 = 2
     assert i == 0
     first_step = np.geomspace(1e-3, 1e3, 49)[23]
-    corrections = failing_at_one_scaled_point(monkeypatch, r, first_step, "_corrected")
-    failing_at_one_scaled_point(monkeypatch, r, first_step)
+    corrections = failing_stack_row(monkeypatch, r, first_step)
+    solves = failing_at_one_scaled_point(monkeypatch, r, first_step)
     with pytest.raises(NumericalError) as info:
         optimal_curing_rate(g, r, i, price)
     assert info.value.code == "no-convergence"
-    assert corrections and np.isclose(corrections[-1].delta[0], first_step * r.delta[0])
+    assert corrections and np.isclose(corrections[-1][0], first_step * r.delta[0])
+    assert solves and np.isclose(solves[-1].delta[0], first_step * r.delta[0])
 
 
 def test_each_endemic_state_is_solved_and_linearized_once(monkeypatch, tmp_path, capsys):
@@ -865,41 +917,38 @@ def test_each_endemic_state_is_solved_and_linearized_once(monkeypatch, tmp_path,
     r = random_rates_at(g, rng, 2.0)
     n = g.n
     ss = solve(g, r, tol=1e-12)
-    # solves made by sensitivity or the CLI, rows of the stacked sweep corrector,
-    # single-state corrections and _Linearization.at calls
-    counts = {"solve": 0, "rows": 0, "corrected": 0, "at": 0}
+    # solves made by sensitivity or the CLI, states corrected from a prediction,
+    # states corrected from no prediction, and states linearized
+    counts = {"solve": 0, "rows": 0, "unpredicted": 0, "at": 0}
     at = sensitivity._Linearization.at.__func__
-    corrected, stacked = sensitivity._corrected, sensitivity._corrected_stack
+    newton = sensitivity._newton
 
     def counting_solve(*args, **kwargs):
         counts["solve"] += 1
         return solve(*args, **kwargs)
 
-    def counting_stacked(g, rates, guess, tol):
-        counts["rows"] += len(guess)
-        return stacked(g, rates, guess, tol)
+    def counting_newton(g, rates, guess, *args):
+        predicted = np.isfinite(guess).all(axis=-1)
+        counts["rows"] += int(predicted.sum())
+        counts["unpredicted"] += int((~predicted).sum())
+        return newton(g, rates, guess, *args)
 
-    def counting_corrected(*args):
-        counts["corrected"] += 1
-        return corrected(*args)
-
-    def counting_at(cls, *args):
-        counts["at"] += 1
-        return at(cls, *args)
+    def counting_at(cls, g, rates, v):
+        counts["at"] += len(np.reshape(v, (-1, g.n)))
+        return at(cls, g, rates, v)
 
     monkeypatch.setattr(sensitivity, "solve", counting_solve)
     monkeypatch.setattr(steady_state, "solve", counting_solve)
-    monkeypatch.setattr(sensitivity, "_corrected_stack", counting_stacked)
-    monkeypatch.setattr(sensitivity, "_corrected", counting_corrected)
+    monkeypatch.setattr(sensitivity, "_newton", counting_newton)
     monkeypatch.setattr(sensitivity._Linearization, "at", classmethod(counting_at))
     # the base state is solved and linearized; the 4 scaled points per node are
-    # corrected and linearized from their neighbours as rows of the stacked
-    # sweep; the base also serves every sweep's factor 1.0
+    # predicted from their neighbours, corrected and linearized as rows of the
+    # stacked sweep; the base also serves every sweep's factor 1.0
     full_report(g, r)
-    assert counts == {"solve": 1, "rows": 4 * n, "corrected": 0, "at": 1}
+    assert counts == {"solve": 1, "rows": 4 * n, "unpredicted": 0, "at": 1 + 4 * n}
     counts.update(solve=0, rows=0, at=0)
     full_report(g, r, ss)
-    assert counts == {"solve": 0, "rows": 4 * n, "corrected": 0, "at": 1}
+    assert counts == {"solve": 0, "rows": 4 * n, "unpredicted": 0, "at": 1 + 4 * n}
 
     graph, rates = tmp_path / "g.edges", tmp_path / "rates.json"
     graph.write_text(format_edge_list(g))
@@ -908,7 +957,7 @@ def test_each_endemic_state_is_solved_and_linearized_once(monkeypatch, tmp_path,
     assert main(["sensitivity", "--graph", str(graph), "--rates", str(rates)]) == 0
     capsys.readouterr()
     # the inverse ledger reads the report's S^{-1}
-    assert counts == {"solve": 1, "rows": 4 * n, "corrected": 0, "at": 1}
+    assert counts == {"solve": 1, "rows": 4 * n, "unpredicted": 0, "at": 1 + 4 * n}
 
     assert full_report(g, r, ss).convexity == convexity_verdicts(g, r)
 

@@ -84,17 +84,17 @@ def near_surface_case(offset: float):
 
 
 def recorded_newton_iterates(monkeypatch) -> list:
-    """Patch steady_state._newton_orbit so that every iterate it yields is
-    appended to the returned list."""
+    """Patch steady_state._jacobian, which every Newton step builds its S from,
+    so that each iterate a step starts from is appended to the returned list
+    (every row, for a stack of iterates)."""
     iterates = []
-    orbit = steady_state._newton_orbit
+    jacobian = steady_state._jacobian
 
-    def recording(*args):
-        for item in orbit(*args):
-            iterates.append(item[0])
-            yield item
+    def recording(g, beta, delta, v):
+        iterates.extend(np.array(v, ndmin=2))
+        return jacobian(g, beta, delta, v)
 
-    monkeypatch.setattr(steady_state, "_newton_orbit", recording)
+    monkeypatch.setattr(steady_state, "_jacobian", recording)
     return iterates
 
 
@@ -358,8 +358,10 @@ def test_newton_iterates_decrease_onto_the_fixed_point(offset, monkeypatch):
     g, r, v_ref = near_surface_case(offset)
     iterates = recorded_newton_iterates(monkeypatch)
     ss = solve(g, r)
-    assert ss.path == "map+newton" and len(iterates) >= 3
-    assert iterates[-1] is ss.v_inf
+    assert ss.path == "map+newton" and len(iterates) >= 2
+    # one S per step, the first at the map iterate that Newton takes over from
+    assert np.array_equal(iterates[0], truncated_iterate(g, r, ss.iterations - len(iterates)))
+    iterates.append(ss.v_inf)
     for previous, current in zip(iterates, iterates[1:]):
         assert np.all(current <= previous)
         assert np.all(current >= v_ref - 1e-15)
@@ -368,25 +370,26 @@ def test_newton_iterates_decrease_onto_the_fixed_point(offset, monkeypatch):
 @pytest.mark.parametrize("offset", [1e-2, 1e-4])
 def test_corrected_state_is_the_solved_state(offset):
     # Newton steps from a guess below the fixed point overshoot above it once,
-    # then decrease onto it; the state carries solve's fields and path "newton"
+    # then decrease onto it, to the state solve reaches
     g, r, v_ref = near_surface_case(offset)
     ss = solve(g, r, tol=1e-12)
     for guess in (0.9 * ss.v_inf, np.minimum(1.5 * ss.v_inf, 0.99)):
-        corrected = steady_state._corrected(g, r, guess, 1e-12)
-        assert corrected.path == "newton" and corrected.regime == "endemic"
-        assert 0 < corrected.iterations <= 10 and corrected.residual <= 1e-12
-        assert np.abs(corrected.v_inf - v_ref).max() <= 1e-11 * v_ref.max()
-        for field in ("v_tilde", "w", "y_inf"):
-            assert np.allclose(getattr(corrected, field), getattr(ss, field), rtol=1e-10, atol=0)
+        v, residual, steps, stop = steady_state._newton(g, r, guess, 1e-12, 10**6)
+        assert stop == steady_state._CONVERGED
+        assert 0 < steps <= 10 and residual <= 1e-12
+        assert np.abs(v - v_ref).max() <= 1e-11 * v_ref.max()
+        assert np.allclose(v, ss.v_inf, rtol=1e-10, atol=0)
 
 
 def test_corrected_state_refuses_a_guess_outside_the_unit_cube():
     g = complete_graph(4)
     r = homogeneous_rates(g, 1.0)
     for guess in (np.full(4, 0.0), np.full(4, 1.0), np.array([0.5, 0.5, np.nan, 0.5])):
-        with pytest.raises(NumericalError) as info:
-            steady_state._corrected(g, r, guess, 1e-12)
-        assert info.value.code == "no-convergence"
+        v, residual, steps, stop = steady_state._newton(g, r, guess, 1e-12, 10**6)
+        assert stop == steady_state._OUTSIDE and steps == 0 and residual == np.inf
+        assert np.array_equal(v, guess, equal_nan=True)
+        error = steady_state._no_convergence(1e-12, 0, residual, stop)
+        assert error.code == "no-convergence" and "outside (0, 1)" in str(error)
 
 
 def test_newton_finish_raises_at_its_residual_floor():
