@@ -122,8 +122,9 @@ def transient_distribution(chain: ExactChain, p0: np.ndarray, t: float) -> np.nd
         raise InputError("p0 must be a probability distribution", code="invalid-distribution")
     t = _real(t, "t", 0.0)
 
-    rate = chain.uniformization_rate
-    mu = rate * t
+    mu = chain.uniformization_rate * t
+    if not math.isfinite(mu):  # every Poisson weight would be nan, so neither stop could hold
+        raise InputError(f"uniformization mean rate * t overflows at t = {t!r}", code="invalid-argument")
     if mu == 0.0:
         return p0.copy()
 

@@ -22,9 +22,10 @@ diagnostic matrix, convexity verdicts over curing-rate sweeps, an
 optimal curing rate and a ledger of identities and inequalities on
 S^{-1} all live here.  A state with one curing rate delta_i changed is
 reached by one continuation step, for the convexity sweeps and the
-optimal curing rate alike: it is predicted from a nearby endemic point's
-(x, x') along e_i, corrected by the Newton steps of ``solve`` and, where
-they fail, solved.  The step, its trial rates and its linearization are
+optimal curing rate alike: its regime is decided by the Cholesky test of
+``solve``, then it is predicted from a nearby endemic point's (x, x')
+along e_i, corrected by the Newton steps of ``solve`` and, where they
+fail, solved.  The step, its trial rates and its linearization are
 written once over a leading axis of states: the optimum takes it one
 point at a time, the sweeps for every node at once, one row per node and
 chain.  As v_i is convex in delta_i, the optimum's
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _frozen_array, _node, _real
-from .spectral import _below
+from .spectral import _below, _coupling, _each
 from .steady_state import _CONVERGED, _MAX_ITER, SteadyState, _jacobian, _newton, _side, solve
 
 __all__ = [
@@ -102,24 +103,16 @@ def _checked_s(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
     s = _jacobian(g, rates.beta, rates.delta, v)
     root = np.sqrt(rates.beta)
     sym = root[:, None] * s / root[None, :]
-    floor = -_PD_FLOOR * rates.delta.max(axis=-1, keepdims=True)
-    if not _below(-sym, floor):
-        first = next(m for m, c in zip(sym.reshape(-1, g.n, g.n), floor.reshape(-1, 1)) if not _below(-m, c))
-        smallest = float(np.linalg.eigvalsh(first)[0])
+    definite = _below(-sym, -_PD_FLOOR * rates.delta.max(axis=-1, keepdims=True))
+    if not definite.all():
+        first = sym[~definite][0]
+        smallest = float(np.linalg.eigvalsh(first)[0]) if np.isfinite(first).all() else np.nan
         raise NumericalError(
             f"sensitivity matrix not positive definite (smallest eigenvalue {smallest:.3e}); "
             "near critical threshold",
             code="near-critical",
         )
     return s
-
-
-def _near_critical(linalg_op, *args) -> np.ndarray:
-    """Run a numpy.linalg operation, a singular system raising ``near-critical``."""
-    try:
-        return linalg_op(*args)
-    except np.linalg.LinAlgError:
-        raise NumericalError("sensitivity system singular; near critical threshold", code="near-critical") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +135,9 @@ class _Linearization:
         number of at most 1e12.  The first state (in row order) that breaks a
         part of it raises ``near-critical``."""
         s = _checked_s(g, rates, v)
-        inv = _near_critical(np.linalg.inv, s)
+        inv, invertible = _each("inv", s)
+        if not invertible.all():
+            raise NumericalError("sensitivity system singular; near critical threshold", code="near-critical")
         cond = np.abs(s).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)  # 1-norms
         if (cond > _COND_LIMIT).any():
             raise NumericalError(
@@ -244,7 +239,10 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
     rest = np.arange(g.n) != i
     s_rest = _jacobian(g, rates.beta, rates.delta, v)[np.ix_(rest, rest)]
     a_col = g.adjacency[rest, i]
-    f = float((rates.beta[rest] * a_col) @ _near_critical(np.linalg.solve, s_rest, a_col))
+    solution, invertible = _each("solve", s_rest, a_col[:, None])
+    if not invertible:
+        raise NumericalError("sensitivity system singular; near critical threshold", code="near-critical")
+    f = float((rates.beta[rest] * a_col) @ solution[:, 0])
     if f <= 0:
         raise NumericalError(f"deleted-graph quadratic form f = {f:.3e} not positive", code="sign-violation")
     damped = tau[i] * (1.0 - v[i]) ** 2 * f
@@ -306,11 +304,9 @@ def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> fl
     def point(delta_i: float, near):
         """(delta_i, r, v, (x, x') along e_i), continued from the point near
         (solved if None); None if extinct or on the surface."""
-        trial = _rates_with(rates, i, delta_i)
-        if not _endemic(g, trial):
-            return None
-        v, *slopes = _advance(g, trial, i, delta_i, None if near is None else (near[0], near[2], *near[3]))
-        return delta_i, price + float(slopes[0][i]), v, slopes
+        v, *slopes = _advance(g, rates, i, delta_i, None if near is None else (near[0], near[2], *near[3]))
+        r = price + float(slopes[0][i])
+        return None if np.isnan(r) else (delta_i, r, v, slopes)
 
     def inside(delta_i: float):
         """point(delta_i) from the pivot, for a delta_i between two endemic points."""
@@ -391,48 +387,48 @@ def convexity_verdicts(g: Graph, rates: RateConfig) -> list[list[str]]:
     chains (1.0, 1.25, 1.5 and 1.0, 0.8, 0.6): each is predicted to second
     order from the point before and corrected by Newton steps, or solved
     where those fail.  Both chain steps advance every node's sweep together
-    as one stack, each row with its own regime test and Newton stop; the
-    first row whose solve or linearization fails raises its error.
+    as one stack, with one stacked regime test and each row its own Newton
+    stop; the first row whose solve or linearization fails raises its error.
     """
-    if not _endemic(g, rates):
+    if _side(_coupling(g, rates.tau)) <= 0:
         return _sweep(g, rates, None)
     return _sweep(g, rates, _Linearization.at(g, rates, solve(g, rates, tol=_SOLVE_TOL).v_inf))
 
 
-def _endemic(g: Graph, trial: RateConfig) -> np.ndarray:
-    """Whether each configuration of trial (over the leading axis of trial.tau)
-    is endemic, by the rule of solve."""
-    root = np.sqrt(trial.tau)
-    r = root[..., :, None] * g.adjacency  # effective_adjacency of each configuration
-    r *= root[..., None, :]
-    return np.reshape([_side(m) > 0 for m in r.reshape(-1, g.n, g.n)], r.shape[:-2])
-
-
-def _advance(g: Graph, trial: RateConfig, nodes, delta_i, near) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The continuation step of the module docstring: (v, x, x') at the
-    points of trial = _rates_with(rates, nodes, delta_i), each endemic by
-    _endemic, with (x, x') along e_i.  nodes and delta_i are shaped (...),
-    one point per entry, and near = (delta_i, v, x, x') holds a nearby
-    endemic point of each (the sweep's previous point, the last point
-    walked or the search's pivot), nan where there is none; near None: no
-    point has one.  A point that the Newton steps do not bring to
-    convergence from its prediction, a missing one included, is solved and
-    raises the errors of solve; the first point whose linearization fails
-    raises its error.
+def _advance(g: Graph, rates: RateConfig, nodes, delta_i, near) -> np.ndarray:
+    """The continuation step of the module docstring at the points
+    _rates_with(rates, nodes, delta_i), nodes and delta_i shaped (...): (v,
+    x, x') stacked, (x, x') along e_i, nan where a point is not endemic by
+    the rule of solve.  near = (delta_i, v, x, x') holds a nearby endemic
+    point of each (the sweep's previous point, the last point walked or the
+    search's pivot), nan where there is none (near None: none has one).  An
+    endemic point that the Newton steps do not converge from its prediction
+    is solved and raises the errors of solve; the first endemic point whose
+    linearization fails raises its error.
     """
+    nodes, delta_i = np.asarray(nodes), np.asarray(delta_i)
+    trial = _rates_with(rates, nodes, delta_i)
+    endemic = _side(_coupling(g, trial.tau)) > 0
+    ahead = np.full((3,) + trial.delta.shape, np.nan)
+    if not np.any(endemic):
+        return ahead
+    keep = ... if np.all(endemic) else endemic  # the endemic points; the Ellipsis, all of them, copies nothing
+    nodes, delta_i = nodes[keep], delta_i[keep]
+    trial = replace(trial, delta=trial.delta[keep], tau=trial.tau[keep])
     if near is None:
         guess = np.full(trial.delta.shape, np.nan)
     else:
-        prior, v, x, curvature = near
-        h = np.asarray(delta_i - prior)[..., None]
+        prior, v, x, curvature = (np.asarray(f)[keep] for f in near)
+        h = (delta_i - prior)[..., None]
         guess = v + h * x + 0.5 * h**2 * curvature
     v, _, _, stop = _newton(g, trial, guess, _SOLVE_TOL, _MAX_ITER)
     v_rows, delta_rows, tau_rows = (f.reshape(-1, g.n) for f in (v, trial.delta, trial.tau))  # one row per point
     for k in np.flatnonzero(stop != _CONVERGED):  # solve decides, and raises its own errors
         v_rows[k] = solve(g, replace(trial, delta=delta_rows[k], tau=tau_rows[k]), tol=_SOLVE_TOL).v_inf
-    unit = np.arange(g.n) == np.asarray(nodes)[..., None]
+    unit = np.arange(g.n) == nodes[..., None]
     x, curvature = _Linearization.at(g, trial, v).along(unit[..., None])
-    return v, x[..., 0], curvature[..., 0]
+    ahead[:, keep] = v, x[..., 0], curvature[..., 0]
+    return ahead
 
 
 def _sweep(g: Graph, rates: RateConfig, base: _Linearization | None) -> list[list[str]]:
@@ -447,10 +443,10 @@ def _sweep(g: Graph, rates: RateConfig, base: _Linearization | None) -> list[lis
     high = np.full((n, n), -np.inf)
     points = np.zeros(n, dtype=int)  # endemic sweep points of each node
 
-    def record(nodes, curvature):  # endemic points of the sweeps of nodes, d^2 v / d delta_i^2 per row
-        np.minimum.at(low.T, nodes, curvature)
-        np.maximum.at(high.T, nodes, curvature)
-        np.add.at(points, nodes, 1)
+    def record(nodes, curvature):  # points of the sweeps of nodes, d^2 v / d delta_i^2 per row, nan if not endemic
+        np.fmin.at(low.T, nodes, curvature)  # fmin and fmax pass over nan
+        np.fmax.at(high.T, nodes, curvature)
+        np.add.at(points, nodes, ~np.isnan(curvature[:, 0]))
 
     nodes = np.tile(np.arange(n), len(_CHAINS))  # row k follows node nodes[k] along chain factors[k]
     factors = np.repeat(np.array(_CHAINS), n, axis=0)
@@ -463,14 +459,8 @@ def _sweep(g: Graph, rates: RateConfig, base: _Linearization | None) -> list[lis
         near = None if base is None else tuple(f[rows] for f in origin)
         for factor in factors[first : first + size].T:
             delta_i = rates.delta[rows] * factor
-            trial = _rates_with(rates, rows, delta_i)
-            endemic = _endemic(g, trial)
-            trial = replace(trial, delta=trial.delta[endemic], tau=trial.tau[endemic])
-            ahead = np.full((3, len(rows), n), np.nan)  # (v, x, x') of each row, nan where not endemic
-            ahead[:, endemic] = _advance(
-                g, trial, rows[endemic], delta_i[endemic], None if near is None else tuple(f[endemic] for f in near)
-            )
-            record(rows[endemic], ahead[2, endemic])
+            ahead = _advance(g, rates, rows, delta_i, near)  # (v, x, x') of each row, nan where not endemic
+            record(rows, ahead[2])
             near = (delta_i, *ahead)
     band = _DEADBAND / float(rates.delta.max()) ** 2
     verdicts = np.where(low >= -band, "convex", np.where(high <= band, "concave", "indefinite"))

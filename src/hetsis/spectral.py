@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, _floats, _positive_vector, _vector
@@ -84,19 +85,29 @@ def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, x
 
 
-def _below(m: np.ndarray, c) -> bool:
+def _each(gufunc: str, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.linalg's LAPACK gufunc of that name ("cholesky_lo", "solve" or
+    "inv", behind numpy.linalg.cholesky, solve and inv) on stacks of systems
+    shaped (..., n, n), and whether each succeeded: (out, ok), ok shaped (...).
+
+    numpy.linalg raises for a whole stack when one system fails; its gufuncs
+    leave a failed system nan-filled and only flag the floating-point status,
+    ignored here.  So ok is whether a system's last output entry is finite,
+    which also fails a system with a nan entry that LAPACK lets through."""
+    with np.errstate(all="ignore"):
+        out = getattr(_umath_linalg, gufunc)(*stacks)
+    return out, np.isfinite(out[..., -1, -1])
+
+
+def _below(m: np.ndarray, c) -> np.ndarray:
     """Whether every eigenvalue of the symmetric m is below c, that is,
     whether c I - m has a Cholesky factorization.  For a stack m shaped
-    (..., n, n), with c a number or shaped (..., 1), whether that holds for
-    every matrix of the stack."""
+    (..., n, n), with c a number or shaped (..., 1), one answer per matrix,
+    shaped (...)."""
     n = m.shape[-1]
     shifted = np.negative(m)
     shifted.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] += c
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _each("cholesky_lo", shifted)[1]
 
 
 def _lambda_max(m: np.ndarray) -> float:
@@ -124,9 +135,14 @@ def effective_adjacency(g: Graph, tau: np.ndarray) -> np.ndarray:
     Its spectral radius equals one exactly on the critical surface of the
     mean-field model, above one in the endemic regime.
     """
-    root = np.sqrt(_positive_vector(tau, g.n, "tau"))
-    r = root[:, None] * g.adjacency
-    r *= root[None, :]
+    return _coupling(g, _positive_vector(tau, g.n, "tau"))
+
+
+def _coupling(g: Graph, tau: np.ndarray) -> np.ndarray:
+    """effective_adjacency of valid tau shaped (..., n): one R per entry of the leading axes."""
+    root = np.sqrt(tau)
+    r = root[..., :, None] * g.adjacency
+    r *= root[..., None, :]
     return r
 
 

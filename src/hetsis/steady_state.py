@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .graphs import Graph, RateConfig, _integer, _real
-from .spectral import _below, effective_adjacency
+from .spectral import _below, _each, effective_adjacency
 
 __all__ = [
     "SteadyState",
@@ -58,15 +58,20 @@ _IDENTITY_TOL = 1e-7
 _CONVERGED, _STALLED, _OUTSIDE, _SINGULAR, _MAX_STEPS = range(5)  # the rules by which a state of _newton stops
 
 
-def _side(r: np.ndarray) -> int:
+def _side(r: np.ndarray):
     """Side of the critical surface for the symmetric coupling r: +1 (endemic)
     when lambda_max(r) >= 1 + CRITICAL_BAND, -1 (extinct) when it is below
     1 - CRITICAL_BAND, 0 (on the surface) in between.  No eigensolve: (1 +/-
     CRITICAL_BAND) I - r has a Cholesky factorization exactly when
-    lambda_max(r) is below 1 +/- CRITICAL_BAND."""
-    if not _below(r, 1.0 + CRITICAL_BAND):
-        return 1
-    return -1 if _below(r, 1.0 - CRITICAL_BAND) else 0
+    lambda_max(r) is below 1 +/- CRITICAL_BAND.  One matrix gives an int; a
+    stack shaped (..., n, n) gives an int array shaped (...), factoring at
+    1 - CRITICAL_BAND only the matrices not above the band."""
+    above = ~_below(r, 1.0 + CRITICAL_BAND)
+    if r.ndim == 2:  # no masked copy of the one matrix
+        return 1 if above else -1 if _below(r, 1.0 - CRITICAL_BAND) else 0
+    side = above.astype(int)
+    side[~above] = np.where(_below(r[~above], 1.0 - CRITICAL_BAND), -1, 0)
+    return side
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,27 +155,6 @@ def _jacobian(g: Graph, beta: np.ndarray, delta: np.ndarray, v: np.ndarray) -> n
     return s
 
 
-def _stacked(linalg_op, *stacks):
-    """A numpy.linalg operation on stacks of systems, and whether each system succeeded.
-
-    numpy.linalg raises for the whole stack when one system is singular (or not
-    positive definite, for cholesky), so then each system is redone alone and a
-    failed one is left as nan."""
-    try:
-        return linalg_op(*stacks), np.ones(len(stacks[0]), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    out, ok = [], []
-    for system in zip(*stacks):
-        try:
-            out.append(linalg_op(*system))
-            ok.append(True)
-        except np.linalg.LinAlgError:
-            out.append(np.full_like(system[-1], np.nan))
-            ok.append(False)
-    return np.array(out), np.array(ok)
-
-
 def _newton(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: int):
     """Newton steps v <- v + S^{-1} F(v) from estimates v of endemic states.
 
@@ -222,7 +206,7 @@ def _newton(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: in
             if not keep.any():
                 break
             u, d, scale, step, f, res = u[keep], d[keep], scale[keep], step[keep], f[keep], res[keep]
-        increment, solved = _stacked(np.linalg.solve, _jacobian(g, beta, d, u), f[..., None])
+        increment, solved = _each("solve", _jacobian(g, beta, d, u), f[..., None])
         u, last, step = u + increment[..., 0], step, np.abs(increment[..., 0]).max(axis=1)
     return out.reshape(v.shape), residual.reshape(shape), steps.reshape(shape), stop.reshape(shape)
 

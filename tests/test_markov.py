@@ -239,6 +239,23 @@ def test_transient_argument_validation():
         transient_distribution(chain, np.full(4, 0.25), -1.0)
 
 
+def test_transient_refuses_a_horizon_whose_poisson_mean_overflows():
+    # rate * t = inf leaves every Poisson weight nan, so neither stop test can
+    # hold; a subprocess with a deadline turns a hang into a failure
+    code = (
+        "import numpy as np, hetsis\n"
+        "g = hetsis.Graph.from_edges([(0, 1), (1, 2)])\n"
+        "chain = hetsis.build_exact_chain(g, hetsis.RateConfig.from_tau(g, 1.0))\n"
+        "p0 = np.zeros(8); p0[-1] = 1.0\n"
+        "try:\n"
+        "    hetsis.transient_distribution(chain, p0, 1e308)\n"
+        "except hetsis.InputError as exc:\n"
+        "    print(exc.code)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, timeout=30)
+    assert out.stdout.strip() == "invalid-argument", out.stderr
+
+
 def test_mean_field_tracks_chain_at_short_times():
     g = complete_graph(3)
     r = RateConfig.for_graph(g, 2.0, 1.0)

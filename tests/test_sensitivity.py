@@ -876,6 +876,16 @@ def test_stacked_rows_equal_one_state_calls():
     with pytest.raises(NumericalError) as info:
         linearized([0, 1, 4], states[[0, 1, 4]], nodes[[0, 1, 4]])
     assert str(info.value) == str(alone.value) and info.value.code == "near-critical"
+    # so does a nan state, which numpy.linalg.cholesky factors into nan without raising
+    states[5] = np.nan
+    with pytest.raises(NumericalError, match="not positive definite") as alone:
+        linearized(5, states[5], nodes[5])
+    with pytest.raises(NumericalError) as info:
+        linearized([0, 1, 5], states[[0, 1, 5]], nodes[[0, 1, 5]])
+    assert str(info.value) == str(alone.value) and info.value.code == "near-critical"
+    with pytest.raises(NumericalError, match="not positive definite") as info:
+        sensitivity_matrix(g, rates(0), replace(solve(g, rates(0), tol=1e-12), v_inf=states[5]))
+    assert info.value.code == "near-critical"
 
 
 def test_trial_rates_equal_a_validated_configuration():

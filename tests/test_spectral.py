@@ -7,11 +7,15 @@ whose largest eigenvalues check dominant_eigenpair:
   path on 4      roots of lambda^4 - 3 lambda^2 + 1, i.e. +-phi and +-1/phi
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hetsis
 from hetsis import (
+    CRITICAL_BAND,
     InputError,
     NumericalError,
     dominant_eigenpair,
@@ -19,6 +23,7 @@ from hetsis import (
     generalized_laplacian,
     gerschgorin_intervals,
     spectral,
+    steady_state,
 )
 
 from conftest import (
@@ -28,6 +33,7 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
+from test_steady_state import _regime_cases
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -153,6 +159,66 @@ def test_below_leaves_its_input_unchanged():
     kept = m.copy()
     assert spectral._below(m, 4.25) and not spectral._below(m, 4.2)
     assert m.tobytes() == kept.tobytes()
+    # a stack answers per matrix what each matrix gets alone: every R of
+    # _regime_cases (offsets +-0.5 down to +-5e-10, across both band edges),
+    # zero-padded to one size, which keeps its eigenvalues above zero, then
+    # a matrix with eigenvalue 2 and a nan matrix
+    rs = [effective_adjacency(g, r.tau) for g, r in _regime_cases()]
+    n = max(len(r) for r in rs)
+    stack = np.zeros((len(rs) + 2, n, n))
+    for k, r in enumerate(rs):
+        stack[k, : len(r), : len(r)] = r
+    stack[-2] = 2.0 * np.eye(n)
+    stack[-1] = np.nan
+    kept = stack.copy()
+    edges = (1.0 - CRITICAL_BAND, 1.0 + CRITICAL_BAND)
+    per_matrix = np.resize(edges, len(stack))[:, None]
+    for c in (*edges, per_matrix):
+        below = spectral._below(stack, c)
+        assert below.shape == (len(stack),) and below.dtype == bool
+        alone = [spectral._below(m, float(np.broadcast_to(c, (len(stack), 1))[k, 0])) for k, m in enumerate(stack)]
+        assert below.tolist() == alone
+        assert not below[-2] and not below[-1]
+    sides = steady_state._side(stack)
+    alone = [steady_state._side(m) for m in stack]
+    assert all(type(side) is int for side in alone)
+    assert sides.tolist() == alone and alone[:-2] == [steady_state._side(r) for r in rs]
+    assert set(alone[:-2]) == {-1, 0, 1} and alone[-2:] == [1, 1]
+    assert stack.tobytes() == kept.tobytes()
+
+
+def test_private_linalg_kernels_stay_in_spectral_and_match_numpy_linalg():
+    # spectral._each runs numpy's private LAPACK gufuncs, which leave a failed
+    # system nan-filled instead of raising; this pins that convention
+    users = sorted(p.name for p in Path(hetsis.__file__).parent.glob("*.py") if "_umath_linalg" in p.read_text())
+    assert users == ["spectral.py"]
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 17):
+        base = rng.normal(size=(8, n, n))
+        spd = base @ base.transpose(0, 2, 1) + n * np.eye(n)
+        mixed = spd.copy()
+        mixed[1] -= 3.0 * n * np.eye(n)  # indefinite
+        mixed[3] = 0.0  # singular
+        mixed[4, -1] = mixed[4, 0]  # singular for n > 1
+        mixed[6] = base[6]  # general, not symmetric
+        rhs = rng.normal(size=(8, n, 3))
+        checks = (
+            ("cholesky_lo", np.linalg.cholesky, (mixed,)),
+            ("inv", np.linalg.inv, (mixed,)),
+            ("solve", np.linalg.solve, (mixed, rhs)),
+            ("solve", np.linalg.solve, (mixed, rhs[..., :1])),
+        )
+        for name, reference, stacks in checks:
+            out, ok = spectral._each(name, *stacks)
+            assert ok.shape == (8,)
+            for k in range(8):
+                try:
+                    expected = reference(*(stack[k] for stack in stacks))
+                except np.linalg.LinAlgError:
+                    assert not ok[k], (n, name, k)
+                    continue
+                assert ok[k] and out[k].tobytes() == expected.tobytes(), (n, name, k)
+            assert not ok.all()
 
 
 def test_dominant_eigenpair_rejects_reducible_input():
