@@ -195,12 +195,12 @@ def test_dynamics_max_points_below_two_exits_2(capsys, triangle_file):
 
 
 def test_dynamics_full_resolution_keeps_every_step(capsys, triangle_file):
-    argv = ["dynamics", "--graph", triangle_file, "--beta", "2.0", "--delta", "1.0", "--t-end", "5.0"]
+    argv = ["dynamics", "--graph", triangle_file, "--beta", "2.0", "--delta", "1.0", "--t-end", "60.0"]
     code, out = run_cli(capsys, argv + ["--max-points", "40", "--full-resolution"])
     assert code == 0
     rows = out.strip().split("\n")[1:]
     g = hetsis.parse_edge_list(Path(triangle_file).read_text())
-    traj = hetsis.integrate(g, hetsis.RateConfig.for_graph(g, 2.0, 1.0), np.full(3, 0.9), 5.0, max_points=None)
+    traj = hetsis.integrate(g, hetsis.RateConfig.for_graph(g, 2.0, 1.0), np.full(3, 0.9), 60.0, max_points=None)
     assert len(rows) == 1 + traj.steps > 40  # t = 0 and one row per accepted step
     assert [float(row.split(",")[0]) for row in rows] == traj.times.tolist()
 
@@ -352,6 +352,7 @@ def test_import_and_mean_field_paths_leave_scipy_unloaded(triangle_file):
         "hetsis.optimal_curing_rate(g, r, 2, 0.2)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert hetsis.cli.main(['steady', '--graph', {triangle_file!r}, '--tau', '1.5']) == 0\n"
+        f"    assert hetsis.cli.main(['dynamics', '--graph', {triangle_file!r}, '--beta', '2.0', '--delta', '1.0', '--t-end', '1.0']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)

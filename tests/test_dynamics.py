@@ -122,11 +122,11 @@ def test_trajectory_invariants():
 def test_integrate_downsamples_to_max_points():
     g = complete_graph(3)
     r = RateConfig.for_graph(g, 1.0, 1.0)
-    full = integrate(g, r, np.full(3, 0.9), t_end=30.0, max_points=None)
+    full = integrate(g, r, np.full(3, 0.9), t_end=200.0, max_points=None)
     n_steps = full.steps
     assert n_steps > 40
     for max_points in (2, 3, 10, 17, n_steps // 2):
-        traj = integrate(g, r, np.full(3, 0.9), t_end=30.0, max_points=max_points)
+        traj = integrate(g, r, np.full(3, 0.9), t_end=200.0, max_points=max_points)
         # every stride-th accepted step plus the last, at the smallest power-of-two
         # stride that fits; exact states of the full run, not interpolants
         stride = 1
@@ -134,7 +134,7 @@ def test_integrate_downsamples_to_max_points():
             stride *= 2
         idx = list(range(0, n_steps, stride)) + [n_steps]
         assert len(traj.times) == len(idx) <= max_points
-        assert traj.times[0] == 0.0 and traj.times[-1] == 30.0
+        assert traj.times[0] == 0.0 and traj.times[-1] == 200.0
         assert np.array_equal(full.times[idx], traj.times)
         assert np.array_equal(full.states[idx], traj.states)
         assert (traj.steps, traj.rejected) == (full.steps, full.rejected)
@@ -175,34 +175,57 @@ def test_integrate_respects_dt_hint():
     g = complete_graph(3)
     r = RateConfig.for_graph(g, 2.0, 1.0)
     # the hint is the first trial step, fine or coarse: default_step (0.02)
-    # does not cap it
+    # does not cap it.  The horizon covers the first three steps and ends
+    # before t = 0.43, where the controller turns its first step down.
     for hint in (0.01, 0.03):
-        traj = integrate(g, r, np.full(3, 0.7), t_end=1.0, dt_hint=hint, max_points=None)
+        traj = integrate(g, r, np.full(3, 0.7), t_end=0.4, dt_hint=hint, max_points=None)
         assert traj.rejected == 0
         assert traj.times[1] == hint
     # without a hint the first trial step is default_step
-    traj = integrate(g, r, np.full(3, 0.7), t_end=1.0, max_points=None)
+    traj = integrate(g, r, np.full(3, 0.7), t_end=0.4, max_points=None)
     assert traj.rejected == 0
     assert traj.times[1] == default_step(r) == 0.02
     # an accepted step is followed by a longer one: the step is not fixed
     assert traj.times[2] - traj.times[1] > traj.times[1]
 
 
-def test_integrate_fifth_order_local_error():
+def test_integrate_eighth_order_local_error():
     # homogeneous K3 from a symmetric state is the logistic equation
-    # x' = (2b - d) x - 2b x^2, with a closed-form solution
+    # x' = (2b - d) x - 2b x^2, with a closed-form solution.  From x0 = 0.02
+    # one step of 0.2 or 0.1 is accepted, and its error (8.7e-12, 1.3e-14)
+    # lies thousands of ulps above rounding, so the order shows
     g = complete_graph(3)
-    b, d, x0 = 2.0, 1.0, 0.2
+    b, d, x0 = 2.0, 1.0, 0.02
     r = RateConfig.for_graph(g, b, d)
     rate, level = 2 * b - d, (2 * b - d) / (2 * b)
     err = {}
-    for h in (0.03, 0.015):
+    for h in (0.2, 0.1):
         traj = integrate(g, r, np.full(3, x0), t_end=h, dt_hint=h)
         assert (traj.steps, traj.rejected) == (1, 0)
         exact = level / (1.0 + (level / x0 - 1.0) * np.exp(-rate * h))
         err[h] = np.abs(traj.states[-1] - exact).max()
-    # a fifth-order pair has local error O(h^6): halving h divides it by 64
-    assert 32.0 <= err[0.03] / err[0.015] <= 128.0
+    # an eighth-order pair has local error O(h^9): halving h divides it by
+    # 2^9 = 512 (measured 664); a seventh or ninth order would give 256 or 1024
+    assert 2**8.5 <= err[0.2] / err[0.1] <= 2**9.5
+
+
+def test_dop853_table_meets_its_order_conditions_and_matches_scipy():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    c = ref.C[:12]
+    assert np.abs(dynamics._A.sum(axis=1) - c).max() <= 1e-14
+    # quadrature conditions: the weights integrate c^(k-1) exactly up to
+    # each solution's order, 8 for the step, 5 and 3 for the embedded ones
+    b, (e5, e3) = dynamics._B, dynamics._E
+    for weights, order in ((b, 8), (b - e5, 5), (b - e3, 3)):
+        for k in range(1, order + 1):
+            assert abs(weights @ c ** (k - 1) - 1.0 / k) <= 1e-14
+    # the same doubles as scipy's DOP853; the first-same-as-last stage 13
+    # has no weight in either error estimate, so 12 columns hold them all
+    assert np.array_equal(dynamics._A, ref.A[:12, :12])
+    assert np.array_equal(b, ref.B)
+    assert np.array_equal(e5, ref.E5[:12]) and np.array_equal(e3, ref.E3[:12])
+    assert ref.E5[12] == ref.E3[12] == 0.0
 
 
 def dop853_states(g, r, v0, times):
@@ -245,6 +268,20 @@ def test_integrate_stiff_hub_rejects_steps_and_stays_accurate():
     v0 = np.full(31, 0.5)
     traj = integrate(g, r, v0, t_end=200.0, max_points=None)
     assert traj.rejected > 0
+    assert np.abs(traj.states - dop853_states(g, r, v0, traj.times)).max() <= 1e-8
+
+
+def test_integrate_step_count_stays_at_the_eighth_order_level():
+    # on this graph the Dormand-Prince 5(4) pair took 113 accepted steps to
+    # t = 4 at the same tolerance, and the 8(5,3) pair takes 22; a bound of
+    # 30 fails if most of that gain is lost, and the end state stays as
+    # accurate
+    rng = np.random.default_rng(1)
+    g = random_connected_graph(30, rng)
+    r = random_rates_at(g, rng, 2.5)
+    v0 = rng.uniform(0.0, 1.0, 30)
+    traj = integrate(g, r, v0, t_end=4.0)
+    assert traj.steps <= 30
     assert np.abs(traj.states - dop853_states(g, r, v0, traj.times)).max() <= 1e-8
 
 
