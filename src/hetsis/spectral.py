@@ -5,13 +5,23 @@ which computes every eigenpair of a symmetric matrix directly, so the
 +/-lambda_max pairs of bipartite graphs (stars, paths, grids) need no
 special handling.  The pair is checked before it is returned: the
 eigen-residual, the simplicity of the Perron root and the strict
-positivity of its vector.  Callers that read only the largest eigenvalue
-take it from ``numpy.linalg.eigvalsh`` and certify it by inertia
-(Cholesky) instead; both routes apply the same simplicity rule.
+positivity of its vector.
+
+Callers that read only the largest eigenvalue get it with a certified
+bracket lo <= lambda_max < hi.  From order _BRACKET_MIN_N on, power and
+Noda steps drive a positive vector x onto the Perron vector until the
+Collatz-Wielandt bounds min_i (m x)_i / x_i <= lambda_max <= max_i
+(m x)_i / x_i, widened for rounding, lie within 1e-12 relative.  Below
+that order, where that route fails, or where its power steps contract
+too slowly to finish in a few steps, ``numpy.linalg.eigvalsh`` gives the
+value and two inertia (Cholesky) tests certify it to 1e-10 relative.
+Every route applies the same relative simplicity rule: lambda_max must
+exceed the next eigenvalue by more than 1e-10 lambda_max.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +38,13 @@ __all__ = [
     "generalized_laplacian",
     "gerschgorin_intervals",
 ]
+
+_SIMPLE = 1e-10  # relative gap by which lambda_max must exceed the next eigenvalue
+_BRACKET_MIN_N = 150  # order from which _lambda_max tries the Collatz-Wielandt route first; measured crossover
+_BRACKET_TOL = 1e-12  # relative width at which that route's bracket is returned
+_POWER_STEPS = 32  # power steps at most
+_NODA_FROM = 1e-3  # relative bracket width within which Noda steps may take over from slow power steps
+_NODA_STEPS = 4  # Noda steps at most
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
@@ -52,9 +69,9 @@ def _eigen(linalg_op, m: np.ndarray) -> np.ndarray:
 
 def _check_simple(eigenvalues: np.ndarray) -> None:
     """The Perron-simplicity rule: lambda_max must exceed the next eigenvalue by more
-    than 1e-10 max(1, lambda_max), else ``reducible-matrix``; a single eigenvalue is simple."""
+    than _SIMPLE lambda_max, else ``reducible-matrix``; a single eigenvalue is simple."""
     lam = float(eigenvalues[-1])
-    if eigenvalues.size > 1 and lam - float(eigenvalues[-2]) <= 1e-10 * max(1.0, lam):
+    if eigenvalues.size > 1 and lam - float(eigenvalues[-2]) <= _SIMPLE * lam:
         raise NumericalError("dominant eigenvalue is not simple; matrix is reducible", code="reducible-matrix")
 
 
@@ -99,34 +116,107 @@ def _each(gufunc: str, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, np.isfinite(out[..., -1, -1])
 
 
+def _shifted(m: np.ndarray, c) -> np.ndarray:
+    """c I - m, a new array; for a stack m shaped (..., n, n), c is a number
+    or shaped (..., 1)."""
+    n = m.shape[-1]
+    shifted = np.negative(m)
+    shifted.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] += c
+    return shifted
+
+
 def _below(m: np.ndarray, c) -> np.ndarray:
     """Whether every eigenvalue of the symmetric m is below c, that is,
     whether c I - m has a Cholesky factorization.  For a stack m shaped
     (..., n, n), with c a number or shaped (..., 1), one answer per matrix,
     shaped (...)."""
-    n = m.shape[-1]
-    shifted = np.negative(m)
-    shifted.reshape(m.shape[:-2] + (n * n,))[..., :: n + 1] += c
-    return _each("cholesky_lo", shifted)[1]
+    return _each("cholesky_lo", _shifted(m, c))[1]
 
 
-def _lambda_max(m: np.ndarray) -> float:
+def _lambda_max(m: np.ndarray) -> tuple[float, float, float]:
     """Largest eigenvalue of a symmetric non-negative irreducible matrix,
-    without its eigenvector.
+    without its eigenvector: (lam, lo, hi), the value and a certified
+    bracket lo <= lambda_max < hi.
 
-    The value comes from ``numpy.linalg.eigvalsh``.  It is returned only
-    if two Cholesky attempts certify that the true lambda_max lies in
-    [lam (1 - 1e-10), lam (1 + 1e-10)), raising ``no-convergence``
-    otherwise, and if it is simple, raising ``reducible-matrix`` otherwise,
-    as ``dominant_eigenpair`` does.
+    From order _BRACKET_MIN_N on, ``_perron_bracket`` answers when it can,
+    to 1e-12 relative; it gives up early where its power steps contract
+    slowly.  Otherwise the value comes from
+    ``numpy.linalg.eigvalsh`` and the bracket is [lam (1 - 1e-10), lam (1 +
+    1e-10)), certified by two Cholesky attempts, raising ``no-convergence``
+    where they fail.  Either way a lambda_max that is not simple raises
+    ``reducible-matrix``, as ``dominant_eigenpair`` does.
     """
+    if len(m) >= _BRACKET_MIN_N:
+        found = _perron_bracket(m)
+        if found is not None:
+            return found
     eigenvalues = _eigen(np.linalg.eigvalsh, m)
     lam = float(eigenvalues[-1])
     width = 1e-10 * abs(lam)
     if not _below(m, lam + width) or _below(m, lam - width):
         raise NumericalError(f"eigenvalue {lam!r} fails its inertia certificate", code="no-convergence")
     _check_simple(eigenvalues)
-    return lam
+    return lam, lam - width, lam + width
+
+
+def _perron_bracket(m: np.ndarray) -> tuple[float, float, float] | None:
+    """lambda_max of a symmetric non-negative irreducible m by matvecs and a
+    few solves: (lam, lo, hi) as ``_lambda_max`` returns it, or None where
+    this route fails.
+
+    For any positive x, lo = min_i (m x)_i / x_i <= lambda_max <= hi =
+    max_i (m x)_i / x_i (Collatz-Wielandt); the bounds are widened by (n +
+    2) eps for the rounding of m x and the division.  x starts at ones and
+    takes power steps x <- (m + rho/2 I) x, rho = x^T m x / x^T x: the shift
+    maps the -lambda_max of a bipartite m to half its size, and scales with
+    m, so the steps contract alike at any scale of m.  They go on while
+    their last contraction predicts that at most _POWER_STEPS of them in all
+    bring the bracket within _NODA_FROM, and from there within _BRACKET_TOL.
+    Where it predicts more, the route gives up above _NODA_FROM, and within
+    it at most _NODA_STEPS Noda steps x <- (hi I - m)^{-1} x (Noda 1971)
+    take over.  They converge quadratically (Elsner 1976) and keep x
+    positive, since hi >= lambda_max makes hi I - m an M-matrix.  Once the
+    bracket is within _BRACKET_TOL relative, lam is x's Rayleigh quotient,
+    and the Perron root is simple by the package's rule when lambda_max(m -
+    hi u u^T), u = x / |x|, is below lo (1 - 1e-10): by interlacing it
+    bounds the second eigenvalue of m.  A failed solve, a non-positive
+    iterate, a lo below the normal range, a step cap or a failed simplicity
+    test return None.
+    """
+    n = len(m)
+    rounding = (n + 2) * np.finfo(float).eps
+    x, last, noda = np.ones(n), np.inf, None  # noda: Noda steps taken, None during power steps
+    for k in itertools.count():
+        y = m @ x
+        ratios = y / x
+        lo, hi = float(ratios.min()) * (1.0 - rounding), float(ratios.max()) * (1.0 + rounding)
+        if not lo >= np.finfo(float).tiny:  # the rounding bound above holds for normal numbers only
+            return None
+        width = (hi - lo) / lo
+        if width <= _BRACKET_TOL:
+            break
+        q, last = width / last, width
+        target = _NODA_FROM if width > _NODA_FROM else _BRACKET_TOL
+        # log(target / width) / log(q) more power steps are due
+        if noda is None and k > 0 and not (q < 1.0 and math.log(target / width) >= (_POWER_STEPS - k) * math.log(q)):
+            if width > _NODA_FROM:
+                return None
+            noda = 0
+        if noda is None:
+            y += (0.5 * float(x @ y) / float(x @ x)) * x
+        else:
+            if noda == _NODA_STEPS:
+                return None
+            y, solved = _each("solve", _shifted(m, hi), x[:, None])
+            y = y[:, 0]
+            if not (solved and y.min() > 0.0):
+                return None
+            noda += 1
+        x = y / y.max()
+    u = x / np.linalg.norm(x)
+    if not _below(m - np.outer(hi * u, u), lo - _SIMPLE * lo):
+        return None
+    return float(x @ y) / float(x @ x), lo, hi
 
 
 def effective_adjacency(g: Graph, tau: np.ndarray) -> np.ndarray:

@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 CRITICAL_BAND = 1e-9
+_EDGES = (1.0 - CRITICAL_BAND, 1.0 + CRITICAL_BAND)
+_CLEAR = 1e-11  # relative margin by which a certified bracket must clear each band edge to decide the side
 _TOL = 1e-10  # solve's default tolerance and iteration cap
 _MAX_ITER = 10**6
 _NEWTON_AFTER = 200  # predicted map steps beyond which solve takes Newton steps; one costs ~35 map steps at n = 200
@@ -58,19 +60,31 @@ _IDENTITY_TOL = 1e-7
 _CONVERGED, _STALLED, _OUTSIDE, _SINGULAR, _MAX_STEPS = range(5)  # the rules by which a state of _newton stops
 
 
-def _side(r: np.ndarray):
-    """Side of the critical surface for the symmetric coupling r: +1 (endemic)
-    when lambda_max(r) >= 1 + CRITICAL_BAND, -1 (extinct) when it is below
-    1 - CRITICAL_BAND, 0 (on the surface) in between.  No eigensolve: (1 +/-
-    CRITICAL_BAND) I - r has a Cholesky factorization exactly when
-    lambda_max(r) is below 1 +/- CRITICAL_BAND.  One matrix gives an int; a
-    stack shaped (..., n, n) gives an int array shaped (...), factoring at
-    1 - CRITICAL_BAND only the matrices not above the band."""
-    above = ~_below(r, 1.0 + CRITICAL_BAND)
+def _side(r: np.ndarray, bracket: tuple[float, float] | None = None):
+    """Side of the critical surface for the symmetric coupling r: +1
+    (endemic) when lambda_max(r) >= 1 + CRITICAL_BAND, -1 (extinct) when it
+    is below 1 - CRITICAL_BAND, 0 (on the surface) in between.
+
+    A certified bracket (lo, hi) on lambda_max(r), where given, decides
+    alone when it clears both band edges by _CLEAR relative.  Otherwise no
+    eigensolve either: (1 +/- CRITICAL_BAND) I - r has a Cholesky
+    factorization exactly when lambda_max(r) is below 1 +/- CRITICAL_BAND.
+    One matrix gives an int; a stack shaped (..., n, n) gives an int array
+    shaped (...), factoring at 1 - CRITICAL_BAND only the matrices not above
+    the band."""
+    if bracket is not None:
+        lo, hi = bracket[0] / (1.0 + _CLEAR), bracket[1] * (1.0 + _CLEAR)
+        if lo > _EDGES[1]:
+            return 1
+        if hi < _EDGES[0]:
+            return -1
+        if _EDGES[0] < lo and hi < _EDGES[1]:
+            return 0
+    above = ~_below(r, _EDGES[1])
     if r.ndim == 2:  # no masked copy of the one matrix
-        return 1 if above else -1 if _below(r, 1.0 - CRITICAL_BAND) else 0
+        return 1 if above else -1 if _below(r, _EDGES[0]) else 0
     side = above.astype(int)
-    side[~above] = np.where(_below(r[~above], 1.0 - CRITICAL_BAND), -1, 0)
+    side[~above] = np.where(_below(r[~above], _EDGES[0]), -1, 0)
     return side
 
 
@@ -127,11 +141,15 @@ def _iterate(g: Graph, rates: RateConfig, tol: float, max_iter: int):
 
     The error is about residual / (1 - rho), rho = sqrt(residual/earlier)
     the contraction over the last two steps (0 on the first two).  Returns
-    unconverged once rho >= 1 or rho predicts > _NEWTON_AFTER more steps.
+    unconverged once rho >= 1 or rho predicts > _NEWTON_AFTER more steps,
+    and once a map step leaves an iterate saturated at 1.0 (residual inf,
+    so rho is nan) unchanged: no later step can move it, while a saturated
+    iterate that still moves may leave 1.0 and converge.
     """
     delta = rates.delta
     scale = float(delta.max())
     last = earlier = np.inf
+    before = None
     for k, (v, pressure) in enumerate(_orbit(g, rates, _upper_start(rates))):
         residual = float(np.abs(pressure - v * delta / (1.0 - v)).max()) / scale
         rho = np.sqrt(residual / earlier)
@@ -142,7 +160,9 @@ def _iterate(g: Graph, rates: RateConfig, tol: float, max_iter: int):
         # log(tol (1 - rho) / residual) / log(rho) more steps are due
         if rho >= 1.0 or 0.0 < rho and np.log(tol * (1.0 - rho) / residual) < _NEWTON_AFTER * np.log(rho):
             return v, k, residual, False
-        earlier, last = last, residual
+        if residual == np.inf and np.array_equal(v, before):  # saturated, and the map no longer moves it
+            return v, k, residual, False
+        earlier, last, before = last, residual, v
 
 
 def _jacobian(g: Graph, beta: np.ndarray, delta: np.ndarray, v: np.ndarray) -> np.ndarray:

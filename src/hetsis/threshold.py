@@ -45,11 +45,17 @@ _REGIMES = {1: "infected", 0: "critical", -1: "not_infected"}
 def classify(g: Graph, rates: RateConfig) -> ThresholdReport:
     """Place a rate configuration relative to the critical surface.
 
-    The regime is decided by the same Cholesky test as ``solve``'s; the
-    reported lambda_max(R) is an inertia-certified eigenvalue.
+    lambda_max(R) comes with a certified bracket from ``_lambda_max``: a
+    Collatz-Wielandt bracket within 1e-12 relative from order 150 on, an
+    inertia-certified 1e-10 one from ``eigvalsh`` below that order or where
+    that route fails or gives up.  The regime is ``solve``'s rule,
+    ``_side``: the bracket decides it when it clears both edges of the
+    critical band by 1e-11 relative, and the same Cholesky test as
+    ``solve``'s otherwise, so the two never disagree.
     """
     r = effective_adjacency(g, rates.tau)
-    lam, side = _lambda_max(r), _side(r)
+    lam, lo, hi = _lambda_max(r)
+    side = _side(r, (lo, hi))
     return ThresholdReport(
         lambda_max_R=lam,
         regime=_REGIMES[side],
@@ -63,13 +69,16 @@ def critical_scaling(g: Graph, tau_direction: np.ndarray) -> float:
     """Scale factor s* putting s * tau_direction exactly on the surface.
 
     The spectral radius is linear in a global scaling,
-    lambda_max(R(s tau)) = s lambda_max(R(tau)), so s* = 1 / lambda_max(R(tau)).
-    The regime test of ``solve`` on s* R(tau) confirms that it lands within
-    CRITICAL_BAND of one before the factor is returned.
+    lambda_max(R(s tau)) = s lambda_max(R(tau)), so s* = 1 / lambda_max(R(tau)),
+    with lambda_max(R(tau)) and its certified bracket from ``_lambda_max`` as
+    in ``classify``.  The regime rule of ``solve`` on s* R(tau), given the
+    bracket scaled by s*, confirms that it lands within CRITICAL_BAND of one
+    before the factor is returned.
     """
     r = effective_adjacency(g, tau_direction)
-    s_star = 1.0 / _lambda_max(r)
-    if _side(s_star * r) != 0:
+    lam, lo, hi = _lambda_max(r)
+    s_star = 1.0 / lam
+    if _side(s_star * r, (s_star * lo, s_star * hi)) != 0:
         raise NumericalError(f"scale factor {s_star!r} misses the critical surface", code="no-convergence")
     return s_star
 

@@ -336,7 +336,8 @@ def test_import_and_mean_field_paths_leave_scipy_unloaded(triangle_file):
     # scipy.sparse adds about 0.2 s to start-up and serves only the exact
     # chain, which imports it on first use; scipy.linalg and scipy.integrate
     # are not used at all.  So neither the import nor any mean-field path,
-    # CLI included, may load a scipy module.
+    # CLI included, may load a scipy module; classify and critical_scaling run
+    # on both sides of the Collatz-Wielandt crossover.
     code = (
         "import sys, contextlib, io, numpy as np, hetsis, hetsis.cli\n"
         "print(hetsis.__file__)\n"
@@ -346,6 +347,11 @@ def test_import_and_mean_field_paths_leave_scipy_unloaded(triangle_file):
         "hetsis.solve(g, r)\n"
         "hetsis.classify(g, r)\n"
         "hetsis.critical_scaling(g, np.ones(g.n))\n"
+        "big = hetsis.Graph.from_edges([(0, i) for i in range(1, 160)])\n"
+        "assert big.n >= hetsis.spectral._BRACKET_MIN_N\n"
+        "assert hetsis.spectral._perron_bracket(hetsis.effective_adjacency(big, np.full(big.n, 0.4)))\n"
+        "hetsis.classify(big, hetsis.RateConfig.from_tau(big, 0.4))\n"
+        "hetsis.critical_scaling(big, np.linspace(0.5, 1.5, big.n))\n"
         "hetsis.integrate(g, r, np.full(g.n, 0.5), 2.0)\n"
         "hetsis.full_report(g, r)\n"
         "hetsis.convexity_verdicts(g, r)\n"

@@ -29,6 +29,7 @@ from hetsis import (
 from conftest import (
     complete_graph,
     eigvalsh_lambda_max,
+    lattice_graph,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -160,10 +161,11 @@ def test_below_leaves_its_input_unchanged():
     assert spectral._below(m, 4.25) and not spectral._below(m, 4.2)
     assert m.tobytes() == kept.tobytes()
     # a stack answers per matrix what each matrix gets alone: every R of
-    # _regime_cases (offsets +-0.5 down to +-5e-10, across both band edges),
-    # zero-padded to one size, which keeps its eigenvalues above zero, then
-    # a matrix with eigenvalue 2 and a nan matrix
-    rs = [effective_adjacency(g, r.tau) for g, r in _regime_cases()]
+    # _regime_cases (offsets +-0.5 down to +-5e-10, across both band edges)
+    # below the Collatz-Wielandt crossover, zero-padded to one size, which
+    # keeps its eigenvalues above zero, then a matrix with eigenvalue 2 and
+    # a nan matrix
+    rs = [effective_adjacency(g, r.tau) for g, r in _regime_cases() if g.n < spectral._BRACKET_MIN_N]
     n = max(len(r) for r in rs)
     stack = np.zeros((len(rs) + 2, n, n))
     for k, r in enumerate(rs):
@@ -230,3 +232,45 @@ def test_dominant_eigenpair_rejects_reducible_input():
     with pytest.raises(NumericalError) as info:
         dominant_eigenpair(m)
     assert info.value.code == "reducible-matrix"
+
+
+def test_lambda_max_rejects_reducible_input_on_both_routes():
+    # two copies of one graph: lambda_max is double at every order, so the
+    # Collatz-Wielandt route's simplicity factor fails above the crossover and
+    # the eigvalsh route's simplicity rule raises on either side of it
+    rng = np.random.default_rng(6)
+    for half in (8, spectral._BRACKET_MIN_N // 2):
+        r = effective_adjacency(random_connected_graph(half, rng), rng.uniform(0.5, 2.0, half))
+        m = np.zeros((2 * half, 2 * half))
+        m[:half, :half] = m[half:, half:] = r
+        assert spectral._perron_bracket(m) is None
+        with pytest.raises(NumericalError) as info:
+            spectral._lambda_max(m)
+        assert info.value.code == "reducible-matrix"
+
+
+class _Counted(np.ndarray):
+    """A matrix view that counts its products with vectors."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _Counted.products += 1
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("rows", [13, 16])
+def test_bracket_route_leaves_a_lattice_after_a_few_power_steps(rows):
+    # a lattice's second eigenvalue lies close to its first, so the power
+    # steps contract too slowly to bring the bracket within _NODA_FROM in
+    # _POWER_STEPS steps; their contraction shows it within a few steps, and
+    # lambda_max comes from eigvalsh with no Noda solve spent
+    rng = np.random.default_rng(29)
+    g = lattice_graph(rows, rows)
+    r = effective_adjacency(g, rng.uniform(0.5, 1.5, g.n))
+    assert g.n >= spectral._BRACKET_MIN_N
+    _Counted.products = 0
+    assert spectral._perron_bracket(r.view(_Counted)) is None
+    assert _Counted.products <= 8
+    lam = spectral._lambda_max(r)[0]
+    assert abs(lam - eigvalsh_lambda_max(r)) <= 1e-12 * lam

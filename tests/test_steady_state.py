@@ -1,5 +1,8 @@
 """Metastable fixed point: solver, identities, bounds, and dichotomy."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,10 +26,12 @@ from hetsis import steady_state, threshold
 from conftest import (
     complete_graph,
     homogeneous_rates,
+    lattice_graph,
     path_graph,
     random_connected_graph,
     random_rates_at,
     star_graph,
+    subprocess_env,
     within_seconds,
 )
 
@@ -399,10 +404,47 @@ def test_newton_finish_raises_at_its_residual_floor():
     assert err.value.code == "no-convergence"
 
 
+@pytest.mark.parametrize("beta", [1e16, 1e20])
+def test_solve_refuses_a_saturated_iterate_at_once(beta):
+    # at beta/delta >= 1e16 every map iterate rounds to 1.0, so each residual
+    # is inf and the contraction inf/inf is nan; the map must hand over to
+    # Newton, which refuses its start outside (0, 1), instead of running all
+    # max_iter steps; a subprocess with a deadline turns a hang into a failure
+    code = (
+        "import hetsis\n"
+        "g = hetsis.Graph.from_edges([(0, 1), (1, 2), (2, 3)])\n"
+        "try:\n"
+        f"    hetsis.solve(g, hetsis.RateConfig.for_graph(g, {beta!r}, 1.0))\n"
+        "except hetsis.NumericalError as exc:\n"
+        "    print(exc.code, exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, timeout=30)
+    assert out.stdout.strip() == "no-convergence Newton iterate outside (0, 1)", out.stderr
+
+
+def test_solve_maps_on_from_a_start_saturated_at_one_node():
+    # gamma_0/delta_0 = 2e16 rounds node 0's upper start to 1.0 (residual inf,
+    # contraction nan), but node 1's start is about 1e-12, so one map step
+    # leaves 1.0 and the map converges; lambda_max(R) = sqrt(2e4), endemic
+    g = path_graph(2)
+    rates = RateConfig.for_graph(g, [1.0, 2e16], [1.0, 1e12])
+    assert steady_state._upper_start(rates)[0] == 1.0
+    with np.errstate(divide="ignore"):
+        state = solve(g, rates)
+    assert state.path == "map" and state.regime == "endemic"
+    assert 0.0 < state.v_inf.min() and state.v_inf.max() < 1.0
+
+
 def _regime_cases():
+    # the last three graphs lie above spectral._BRACKET_MIN_N, where lambda_max
+    # comes from the Collatz-Wielandt route where it answers: a bipartite star
+    # (always), a bipartite lattice (never: its second eigenvalue lies close to
+    # the first, so the power steps contract too slowly) and a random graph
+    # (for some rates)
     rng = np.random.default_rng(11)
     graphs = [star_graph(n) for n in (3, 4, 7, 16, 31, 59)]
     graphs += [gnm_graph(n, m, rng) for n, m in ((5, 6), (12, 20), (23, 50), (40, 100), (59, 120))]
+    graphs += [star_graph(150), lattice_graph(13, 13), gnm_graph(200, 600, rng)]
     offsets = [sign * 5.0 * 10.0**-k for k in range(1, 11) for sign in (1.0, -1.0)]
     for g in graphs:
         for offset in offsets:
@@ -433,11 +475,17 @@ def test_regime_by_cholesky_agrees_with_eigvalsh(monkeypatch):
         except NumericalError as exc:
             found.append({"critical-threshold": 0, "no-convergence": 1}[exc.code])
     assert sum(side != expected_side for side, expected_side in zip(found, expected)) == 0
-    # classify reads lambda_max from eigvalsh but decides the regime by solve's test
+    # classify certifies lambda_max by either route, the Collatz-Wielandt one
+    # from spectral._BRACKET_MIN_N on, and decides the regime by solve's rule,
+    # from that bracket where it clears the band edges; it agrees with solve
+    # on both routes, the eigvalsh route forced at every order the second time
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     sides = {"infected": 1, "critical": 0, "not_infected": -1}
-    classified = [sides[classify(g, r).regime] for g, r in cases]
-    assert sum(side != solved for side, solved in zip(classified, found)) == 0
+    assert max(g.n for g, _ in cases) >= hetsis.spectral._BRACKET_MIN_N
+    for crossover in (hetsis.spectral._BRACKET_MIN_N, 10**9):
+        monkeypatch.setattr(hetsis.spectral, "_BRACKET_MIN_N", crossover)
+        classified = [sides[classify(g, r).regime] for g, r in cases]
+        assert sum(side != solved for side, solved in zip(classified, found)) == 0
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])

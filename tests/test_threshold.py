@@ -16,6 +16,7 @@ from hetsis import (
     dominant_eigenpair,
     effective_adjacency,
     solve,
+    spectral,
 )
 
 from conftest import (
@@ -26,6 +27,7 @@ from conftest import (
     random_connected_graph,
     star_graph,
 )
+from test_steady_state import gnm_graph, preferential_attachment
 
 PHI = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -100,6 +102,72 @@ def test_classify_raises_when_the_eigenvalue_fails_its_certificate(monkeypatch):
     # an eigenvalue 1e-8 too large lies outside the 1e-10 inertia bracket
     g = random_connected_graph(12, np.random.default_rng(3))
     r = RateConfig.from_tau(g, np.random.default_rng(4).uniform(0.2, 1.0, g.n))
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: original(m) * (1.0 + 1e-8))
+    with pytest.raises(NumericalError) as info:
+        classify(g, r)
+    assert info.value.code == "no-convergence"
+
+
+def test_simplicity_rule_is_scale_free():
+    # the path's top gap is phi - 1/phi = 1 times tau; the rule compares it with
+    # 1e-10 lambda_max, so a connected graph at tau = 1e-12 is not reducible
+    g = path_graph(4)
+    report = classify(g, RateConfig.from_tau(g, 1e-12))
+    assert report.regime == "not_infected"
+    assert abs(report.lambda_max_R - 1e-12 * PHI) <= 1e-12 * 1e-12 * PHI
+    s_unit = critical_scaling(g, np.ones(g.n))
+    assert abs(critical_scaling(g, np.full(g.n, 1e-12)) * 1e-12 - s_unit) <= 1e-12 * s_unit
+
+
+def _large_cases():
+    """Above spectral._BRACKET_MIN_N: a preferential-attachment graph and
+    G(200, 600), each with heterogeneous tau and a scaling direction."""
+    rng = np.random.default_rng(29)
+    for g in (preferential_attachment(200, 3, rng), gnm_graph(200, 600, rng)):
+        yield g, RateConfig.from_tau(g, rng.uniform(0.05, 0.2, g.n)), rng.uniform(0.5, 1.5, g.n)
+
+
+def test_classify_and_critical_scaling_skip_eigensolvers_above_the_crossover(monkeypatch):
+    # the ledger's lambda_max(A) is an eigvalsh kept per graph, taken here first
+    cases = list(_large_cases())
+    assert min(g.n for g, _, _ in cases) >= spectral._BRACKET_MIN_N
+    assert all(g.spectral_radius > 0.0 for g, _, _ in cases)
+    expected = [
+        (eigvalsh_lambda_max(effective_adjacency(g, r.tau)), eigvalsh_lambda_max(effective_adjacency(g, d)))
+        for g, r, d in cases
+    ]
+    calls = _count_eigensolves(monkeypatch)
+    for (g, r, direction), (lam, lam_direction) in zip(cases, expected):
+        report = classify(g, r)
+        assert abs(report.lambda_max_R - lam) <= 1e-12 * lam
+        assert report.regime == ("infected" if lam > 1.0 else "not_infected")
+        assert abs(critical_scaling(g, direction) * lam_direction - 1.0) <= 1e-12
+    assert calls == {"eigvalsh": 0, "eigh": 0}
+
+
+def test_bracket_route_failure_falls_back_to_the_certified_eigvalsh_route(monkeypatch):
+    # a failed Noda solve sends lambda_max to eigvalsh and its two-Cholesky
+    # certificate; with the eigenvalue made 1e-8 too large that certificate raises
+    g, r, direction = next(_large_cases())
+    lam = float(np.linalg.eigvalsh(effective_adjacency(g, r.tau))[-1])
+    assert g.spectral_radius > 0.0  # the ledger's eigvalsh, kept per graph
+    each = spectral._each
+    solves = []
+
+    def failing_solve(gufunc, *stacks):
+        out, ok = each(gufunc, *stacks)
+        if gufunc == "solve":
+            solves.append(len(stacks[0]))
+            out, ok = np.full_like(out, np.nan), np.zeros_like(ok)
+        return out, ok
+
+    monkeypatch.setattr(spectral, "_each", failing_solve)
+    calls = _count_eigensolves(monkeypatch)
+    report = classify(g, r)
+    assert solves == [g.n] and calls == {"eigvalsh": 1, "eigh": 0}
+    assert report.lambda_max_R == lam and report.regime == ("infected" if lam > 1.0 else "not_infected")
+    assert critical_scaling(g, direction) > 0.0 and calls["eigvalsh"] == 2
     original = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: original(m) * (1.0 + 1e-8))
     with pytest.raises(NumericalError) as info:
