@@ -151,11 +151,15 @@ def walk_counts(g: Graph) -> tuple[float, float]:
 
 
 def _floats(value, name: str, code: str = "invalid-rates") -> np.ndarray:
-    """value as a float array; anything non-numeric raises ``code``."""
+    """value as a float array (the caller's own where it is one); anything but booleans,
+    integers and floats, such as a numeric string or a ragged nesting, raises ``code``."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"{name} must be numeric, got {value!r}", code=code) from None
+        arr = np.asarray(value)
+        if arr.dtype.kind in "biuf":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError):  # a ragged nesting
+        pass
+    raise InputError(f"{name} must be numeric, got {value!r}", code=code)
 
 
 def _vector(value, n: int, name: str) -> np.ndarray:
@@ -233,8 +237,8 @@ class RateConfig:
 
     @classmethod
     def for_graph(cls, g: Graph, beta, delta) -> "RateConfig":
-        b = _as_rate_vector(beta, g.n, "beta")
-        d = _as_rate_vector(delta, g.n, "delta")
+        b = _as_rate_vector(beta, g.n, "beta").copy()  # frozen below, so never the caller's array
+        d = _as_rate_vector(delta, g.n, "delta").copy()
         return cls(
             beta=_frozen_array(b),
             delta=_frozen_array(d),

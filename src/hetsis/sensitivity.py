@@ -25,10 +25,10 @@ reached by one continuation step, for the convexity sweeps and the
 optimal curing rate alike: its regime is decided by the Cholesky test of
 ``solve``, then it is predicted from a nearby endemic point's (x, x')
 along e_i, corrected by the Newton steps of ``solve`` and, where they
-fail, solved.  The step, its trial rates and its linearization are
-written once over a leading axis of states: the optimum takes it one
-point at a time, the sweeps for every node at once, one row per node and
-chain.  As v_i is convex in delta_i, the optimum's
+fail, solved.  The step, its corrector and its linearization are
+written once over a leading axis of states, on plain arrays of rates:
+the optimum takes it one point at a time, the sweeps for every node at
+once, one row per node and chain.  As v_i is convex in delta_i, the optimum's
 stationarity residual never falls as delta_i rises, so its search walks
 a grid to a sign change, narrows the bracket by safeguarded Newton steps
 and bisects it, inferring the sign at each midpoint outside the band of
@@ -37,14 +37,14 @@ evaluated points instead of evaluating it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .graphs import Graph, RateConfig, _frozen_array, _node, _real
+from .graphs import Graph, RateConfig, _node, _real
 from .spectral import _below, _coupling, _each
-from .steady_state import _CONVERGED, _MAX_ITER, SteadyState, _jacobian, _newton, _side, solve
+from .steady_state import _CONVERGED, _MAX_ITER, SteadyState, _endemic, _jacobian, _newton, solve
 
 __all__ = [
     "SensitivityReport",
@@ -94,16 +94,16 @@ def sensitivity_matrix(g: Graph, rates: RateConfig, ss: SteadyState) -> np.ndarr
     the rates, so scaling every rate scales it with S.
     """
     _require_endemic(ss)
-    return _checked_s(g, rates, ss.v_inf)
+    return _checked_s(g, rates.beta, rates.delta, ss.v_inf)
 
 
-def _checked_s(g: Graph, rates: RateConfig, v: np.ndarray) -> np.ndarray:
-    """sensitivity_matrix at endemic states v shaped (..., n), rates.delta alike:
-    one S per state, the first state (in row order) below the floor raising."""
-    s = _jacobian(g, rates.beta, rates.delta, v)
-    root = np.sqrt(rates.beta)
+def _checked_s(g: Graph, beta: np.ndarray, delta: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sensitivity_matrix at endemic states v shaped (..., n), delta alike, beta
+    shared: one S per state, the first state (in row order) below the floor raising."""
+    s = _jacobian(g, beta, delta, v)
+    root = np.sqrt(beta)
     sym = root[:, None] * s / root[None, :]
-    definite = _below(-sym, -_PD_FLOOR * rates.delta.max(axis=-1, keepdims=True))
+    definite = _below(-sym, -_PD_FLOOR * delta.max(axis=-1, keepdims=True))
     if not definite.all():
         first = sym[~definite][0]
         smallest = float(np.linalg.eigvalsh(first)[0]) if np.isfinite(first).all() else np.nan
@@ -129,12 +129,12 @@ class _Linearization:
     inv: np.ndarray
 
     @classmethod
-    def at(cls, g: Graph, rates: RateConfig, v: np.ndarray) -> "_Linearization":
-        """The linearization at endemic states v, each held to one rule: the
-        floor of sensitivity_matrix, an invertible S and a 1-norm condition
-        number of at most 1e12.  The first state (in row order) that breaks a
-        part of it raises ``near-critical``."""
-        s = _checked_s(g, rates, v)
+    def at(cls, g: Graph, beta: np.ndarray, delta: np.ndarray, v: np.ndarray) -> "_Linearization":
+        """The linearization at endemic states v, delta alike, beta shared, each
+        held to one rule: the floor of sensitivity_matrix, an invertible S and a
+        1-norm condition number of at most 1e12.  The first state (in row order)
+        that breaks a part of it raises ``near-critical``."""
+        s = _checked_s(g, beta, delta, v)
         inv, invertible = _each("inv", s)
         if not invertible.all():
             raise NumericalError("sensitivity system singular; near critical threshold", code="near-critical")
@@ -145,7 +145,7 @@ class _Linearization:
                 "near critical threshold",
                 code="near-critical",
             )
-        return cls(v=v, delta=rates.delta, s=s, inv=inv)
+        return cls(v=v, delta=delta, s=s, inv=inv)
 
     def along(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(x, x') of the module docstring along the directions in the columns
@@ -171,7 +171,7 @@ class _Linearization:
 def _linearized(g: Graph, rates: RateConfig, ss: SteadyState) -> _Linearization:
     """The _Linearization at the one state ss, which must be endemic."""
     _require_endemic(ss)
-    return _Linearization.at(g, rates, ss.v_inf)
+    return _Linearization.at(g, rates.beta, rates.delta, ss.v_inf)
 
 
 def _in_mode(g: Graph, rates: RateConfig, ss: SteadyState, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -253,17 +253,6 @@ def schur_derivative(g: Graph, rates: RateConfig, ss: SteadyState, i: int) -> tu
         )
     derivative = -(1.0 - v[i]) * v[i] / (rates.delta[i] - rates.beta[i] * (1.0 - v[i]) ** 2 * f)
     return f, derivative
-
-
-def _rates_with(rates: RateConfig, nodes, delta_i) -> RateConfig:
-    """rates with delta_i at node nodes, not validated again, over a leading
-    axis: nodes and delta_i shaped (...) give delta and tau shaped (..., n),
-    one configuration per entry; beta and gamma are shared."""
-    at = np.arange(len(rates.delta)) == np.asarray(nodes)[..., None]
-    delta_i = np.asarray(delta_i)[..., None]
-    delta = np.where(at, delta_i, rates.delta)
-    tau = np.where(at, rates.beta / delta_i, rates.tau)
-    return replace(rates, delta=_frozen_array(delta), tau=_frozen_array(tau))
 
 
 def optimal_curing_rate(g: Graph, rates: RateConfig, i: int, price: float) -> float:
@@ -390,43 +379,42 @@ def convexity_verdicts(g: Graph, rates: RateConfig) -> list[list[str]]:
     as one stack, with one stacked regime test and each row its own Newton
     stop; the first row whose solve or linearization fails raises its error.
     """
-    if _side(_coupling(g, rates.tau)) <= 0:
+    if not _endemic(_coupling(g, rates.tau)):
         return _sweep(g, rates, None)
-    return _sweep(g, rates, _Linearization.at(g, rates, solve(g, rates, tol=_SOLVE_TOL).v_inf))
+    return _sweep(g, rates, _linearized(g, rates, solve(g, rates, tol=_SOLVE_TOL)))
 
 
 def _advance(g: Graph, rates: RateConfig, nodes, delta_i, near) -> np.ndarray:
-    """The continuation step of the module docstring at the points
-    _rates_with(rates, nodes, delta_i), nodes and delta_i shaped (...): (v,
-    x, x') stacked, (x, x') along e_i, nan where a point is not endemic by
-    the rule of solve.  near = (delta_i, v, x, x') holds a nearby endemic
-    point of each (the sweep's previous point, the last point walked or the
-    search's pivot), nan where there is none (near None: none has one).  An
-    endemic point that the Newton steps do not converge from its prediction
-    is solved and raises the errors of solve; the first endemic point whose
-    linearization fails raises its error.
+    """The continuation step of the module docstring at the points where
+    node nodes of rates has curing rate delta_i, nodes and delta_i shaped
+    (...): (v, x, x') stacked, (x, x') along e_i, nan where a point is not
+    endemic by the rule of solve.  near = (delta_i, v, x, x') holds a nearby
+    endemic point of each (the sweep's previous point, the last point walked
+    or the search's pivot), nan where there is none (near None: none has
+    one).  An endemic point that the Newton steps do not converge from its
+    prediction is solved and raises the errors of solve; the first endemic
+    point whose linearization fails raises its error.
     """
-    nodes, delta_i = np.asarray(nodes), np.asarray(delta_i)
-    trial = _rates_with(rates, nodes, delta_i)
-    endemic = _side(_coupling(g, trial.tau)) > 0
-    ahead = np.full((3,) + trial.delta.shape, np.nan)
+    nodes, delta_i = np.asarray(nodes), np.asarray(delta_i)[..., None]
+    unit = np.arange(g.n) == nodes[..., None]  # e_i of each point
+    delta = np.where(unit, delta_i, rates.delta)  # each point's rates, shaped (..., n)
+    endemic = _endemic(_coupling(g, np.where(unit, rates.beta / delta_i, rates.tau)))
+    ahead = np.full((3,) + delta.shape, np.nan)
     if not np.any(endemic):
         return ahead
     keep = ... if np.all(endemic) else endemic  # the endemic points; the Ellipsis, all of them, copies nothing
-    nodes, delta_i = nodes[keep], delta_i[keep]
-    trial = replace(trial, delta=trial.delta[keep], tau=trial.tau[keep])
+    unit, delta_i, delta = unit[keep], delta_i[keep], delta[keep]
     if near is None:
-        guess = np.full(trial.delta.shape, np.nan)
+        guess = np.full(delta.shape, np.nan)
     else:
         prior, v, x, curvature = (np.asarray(f)[keep] for f in near)
-        h = (delta_i - prior)[..., None]
+        h = delta_i - prior[..., None]
         guess = v + h * x + 0.5 * h**2 * curvature
-    v, _, _, stop = _newton(g, trial, guess, _SOLVE_TOL, _MAX_ITER)
-    v_rows, delta_rows, tau_rows = (f.reshape(-1, g.n) for f in (v, trial.delta, trial.tau))  # one row per point
+    v, _, _, stop = _newton(g, rates.beta, delta, guess, _SOLVE_TOL, _MAX_ITER)
+    v_rows, delta_rows = v.reshape(-1, g.n), delta.reshape(-1, g.n)  # one row per point
     for k in np.flatnonzero(stop != _CONVERGED):  # solve decides, and raises its own errors
-        v_rows[k] = solve(g, replace(trial, delta=delta_rows[k], tau=tau_rows[k]), tol=_SOLVE_TOL).v_inf
-    unit = np.arange(g.n) == nodes[..., None]
-    x, curvature = _Linearization.at(g, trial, v).along(unit[..., None])
+        v_rows[k] = solve(g, RateConfig.for_graph(g, rates.beta, delta_rows[k]), tol=_SOLVE_TOL).v_inf
+    x, curvature = _Linearization.at(g, rates.beta, delta, v).along(unit[..., None])
     ahead[:, keep] = v, x[..., 0], curvature[..., 0]
     return ahead
 

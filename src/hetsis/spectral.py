@@ -245,7 +245,7 @@ class GeneralizedLaplacian:
 
 
 def generalized_laplacian(g: Graph, q: np.ndarray) -> GeneralizedLaplacian:
-    q = _vector(q, g.n, "q")
+    q = _vector(q, g.n, "q").copy()  # not the caller's array, which may change after matrix is built
     matrix = np.diag(q) - g.adjacency
     return GeneralizedLaplacian(q=q, matrix=matrix)
 

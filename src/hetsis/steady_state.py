@@ -55,12 +55,17 @@ _EDGES = (1.0 - CRITICAL_BAND, 1.0 + CRITICAL_BAND)
 _CLEAR = 1e-11  # relative margin by which a certified bracket must clear each band edge to decide the side
 _TOL = 1e-10  # solve's default tolerance and iteration cap
 _MAX_ITER = 10**6
-_NEWTON_AFTER = 200  # predicted map steps beyond which solve takes Newton steps; one costs ~35 map steps at n = 200
+_NEWTON_AFTER = 200  # predicted map steps beyond which solve takes Newton steps; one costs ~40 map steps at n = 200
 _IDENTITY_TOL = 1e-7
 _CONVERGED, _STALLED, _OUTSIDE, _SINGULAR, _MAX_STEPS = range(5)  # the rules by which a state of _newton stops
 
 
-def _side(r: np.ndarray, bracket: tuple[float, float] | None = None):
+def _endemic(r: np.ndarray) -> np.ndarray:
+    """_side(r) == 1 without a bracket, for the symmetric r or for each matrix of a stack (..., n, n)."""
+    return ~_below(r, _EDGES[1])
+
+
+def _side(r: np.ndarray, bracket: tuple[float, float] | None = None) -> int:
     """Side of the critical surface for the symmetric coupling r: +1
     (endemic) when lambda_max(r) >= 1 + CRITICAL_BAND, -1 (extinct) when it
     is below 1 - CRITICAL_BAND, 0 (on the surface) in between.
@@ -68,10 +73,7 @@ def _side(r: np.ndarray, bracket: tuple[float, float] | None = None):
     A certified bracket (lo, hi) on lambda_max(r), where given, decides
     alone when it clears both band edges by _CLEAR relative.  Otherwise no
     eigensolve either: (1 +/- CRITICAL_BAND) I - r has a Cholesky
-    factorization exactly when lambda_max(r) is below 1 +/- CRITICAL_BAND.
-    One matrix gives an int; a stack shaped (..., n, n) gives an int array
-    shaped (...), factoring at 1 - CRITICAL_BAND only the matrices not above
-    the band."""
+    factorization exactly when lambda_max(r) is below 1 +/- CRITICAL_BAND."""
     if bracket is not None:
         lo, hi = bracket[0] / (1.0 + _CLEAR), bracket[1] * (1.0 + _CLEAR)
         if lo > _EDGES[1]:
@@ -80,12 +82,7 @@ def _side(r: np.ndarray, bracket: tuple[float, float] | None = None):
             return -1
         if _EDGES[0] < lo and hi < _EDGES[1]:
             return 0
-    above = ~_below(r, _EDGES[1])
-    if r.ndim == 2:  # no masked copy of the one matrix
-        return 1 if above else -1 if _below(r, _EDGES[0]) else 0
-    side = above.astype(int)
-    side[~above] = np.where(_below(r[~above], _EDGES[0]), -1, 0)
-    return side
+    return 1 if _endemic(r) else -1 if _below(r, _EDGES[0]) else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +172,11 @@ def _jacobian(g: Graph, beta: np.ndarray, delta: np.ndarray, v: np.ndarray) -> n
     return s
 
 
-def _newton(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: int):
+def _newton(g: Graph, beta: np.ndarray, delta: np.ndarray, v: np.ndarray, tol: float, max_iter: int):
     """Newton steps v <- v + S^{-1} F(v) from estimates v of endemic states.
 
-    v and rates.delta are shaped (..., n), one state and its system per
-    entry of the leading axes (none for one state), and beta is shared.
+    v and delta are shaped (..., n), one state and its system per entry of
+    the leading axes (none for one state), and beta, shaped (n,), is shared.
     Each state steps until a stop rule holds: _CONVERGED once its residual
     (in units of its own max delta) and its last step are both at most tol,
     _STALLED at a step no smaller than the one before it, _OUTSIDE at an
@@ -188,9 +185,9 @@ def _newton(g: Graph, rates: RateConfig, v: np.ndarray, tol: float, max_iter: in
     steps, stop): its last iterate, that iterate's residual (inf where the
     iterate is outside (0, 1)) and the steps that led to it.
     """
-    a, beta, n = g.adjacency, rates.beta, g.n
+    a, n = g.adjacency, g.n
     shape = v.shape[:-1]
-    u, d = v.reshape(-1, n), rates.delta.reshape(-1, n)
+    u, d = v.reshape(-1, n), delta.reshape(-1, n)
     out, residual = np.empty_like(u), np.empty(len(u))
     steps, stop = np.empty(len(u), dtype=int), np.empty(len(u), dtype=int)
     going = np.ones(len(u), dtype=bool)  # every state is recorded once, when it stops
@@ -259,7 +256,7 @@ def solve(g: Graph, rates: RateConfig, tol: float = _TOL, max_iter: int = _MAX_I
     v, iterations, residual, converged = _iterate(g, rates, tol, max_iter)
     if converged:
         return _steady_state(g, rates, v, iterations, residual, "map")
-    v, residual, steps, stop = _newton(g, rates, v, tol, max_iter - iterations)
+    v, residual, steps, stop = _newton(g, rates.beta, rates.delta, v, tol, max_iter - iterations)
     if stop != _CONVERGED:
         raise _no_convergence(tol, iterations + int(steps), float(residual), stop)
     return _steady_state(g, rates, v, iterations + int(steps), float(residual), "map+newton")

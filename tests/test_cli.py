@@ -105,7 +105,7 @@ def test_rates_file_reaches_solver(capsys, path3_file, tmp_path):
     assert json.loads(out)["regime"] == "endemic"
 
 
-@pytest.mark.parametrize("beta", ['{"a": 1}', '"x"'])
+@pytest.mark.parametrize("beta", ['{"a": 1}', '"x"', '"2"', '["1", "2", "3"]', "[[1, 2], [3]]"])
 def test_non_numeric_rates_file_exits_2(capsys, path3_file, tmp_path, beta):
     rates = tmp_path / "rates.json"
     rates.write_text(f'{{"beta": {beta}, "delta": 1}}')

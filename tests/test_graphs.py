@@ -11,8 +11,13 @@ from hetsis import (
     InputError,
     RateConfig,
     build_exact_chain,
+    complete_graph_lambda_max,
     critical_perturbation,
+    critical_scaling,
     dominant_eigenpair,
+    effective_adjacency,
+    generalized_laplacian,
+    gerschgorin_intervals,
     format_edge_list,
     integrate,
     mean_field_rhs,
@@ -88,7 +93,7 @@ def non_numeric_calls():
     r = RateConfig.for_graph(g, 1.0, 1.0)
     chain = build_exact_chain(g, r)
     p0 = np.eye(8)[7]
-    return {  # name: (call, code)
+    calls = {  # name: (call, code)
         "integrate-v0-dict": (lambda: integrate(g, r, {"a": 1}, 1.0), "state-out-of-range"),
         "integrate-v0-str": (lambda: integrate(g, r, "x", 1.0), "state-out-of-range"),
         "integrate-t_end": (lambda: integrate(g, r, np.full(3, 0.5), "x"), "invalid-argument"),
@@ -101,6 +106,28 @@ def non_numeric_calls():
         "optimal_curing_rate-price": (lambda: optimal_curing_rate(g, r, 0, "x"), "invalid-argument"),
         "dominant_eigenpair": (lambda: dominant_eigenpair("x"), "invalid-matrix"),
     }
+    # numpy.asarray(value, dtype=float) would parse "0.5" as 0.5: every reader
+    # of a vector or matrix is also given its numbers as strings, and a ragged
+    # nesting of them
+    readers = {  # name: (call on the value, code, a valid value)
+        "for_graph-beta": (lambda x: RateConfig.for_graph(g, x, 1.0), "invalid-rates", [1.0, 2.0, 3.0]),
+        "for_graph-delta": (lambda x: RateConfig.for_graph(g, 1.0, x), "invalid-rates", [1.0, 2.0, 3.0]),
+        "from_tau": (lambda x: RateConfig.from_tau(g, x), "invalid-rates", [1.0, 2.0, 3.0]),
+        "integrate-v0": (lambda x: integrate(g, r, x, 1.0), "state-out-of-range", [0.5, 0.5, 0.5]),
+        "mean_field_rhs": (lambda x: mean_field_rhs(g, r, x), "state-out-of-range", [0.5, 0.5, 0.5]),
+        "transient_distribution-p0": (lambda x: transient_distribution(chain, x, 1.0), "invalid-distribution",
+                                      p0.tolist()),
+        "effective_adjacency": (lambda x: effective_adjacency(g, x), "invalid-rates", [1.0, 2.0, 3.0]),
+        "critical_scaling": (lambda x: critical_scaling(g, x), "invalid-rates", [1.0, 2.0, 3.0]),
+        "generalized_laplacian": (lambda x: generalized_laplacian(g, x), "invalid-rates", [1.0, 2.0, 3.0]),
+        "gerschgorin_intervals": (lambda x: gerschgorin_intervals(g, x), "invalid-rates", [1.0, 2.0, 3.0]),
+        "complete_graph_lambda_max": (complete_graph_lambda_max, "invalid-rates", [1.0, 2.0, 3.0]),
+        "dominant_eigenpair": (dominant_eigenpair, "invalid-matrix", [[1.0, 2.0], [2.0, 1.0]]),
+    }
+    for name, (call, code, valid) in readers.items():
+        calls[f"{name}-numeric-strings"] = (lambda call=call, x=np.array(valid).astype(str).tolist(): call(x), code)
+        calls[f"{name}-ragged"] = (lambda call=call, x=[valid, valid[:-1]]: call(x), code)
+    return calls
 
 
 @pytest.mark.parametrize("name", list(non_numeric_calls()))
@@ -222,7 +249,9 @@ def test_rate_config_requires_positive_finite(bad):
         RateConfig.for_graph(g, 1.0, [1.0, bad, 1.0])
 
 
-@pytest.mark.parametrize("bad", [{"a": 1}, "x", [1.0, "y", 1.0], [[1.0], [1.0, 2.0], [1.0]]])
+@pytest.mark.parametrize(
+    "bad", [{"a": 1}, "x", [1.0, "y", 1.0], [[1.0], [1.0, 2.0], [1.0]], "2", ["1", "2", "3"], [1.0, None, 1.0]]
+)
 def test_rate_config_refuses_non_numeric_rates(bad):
     g = path_graph(3)
     for beta, delta in ((bad, 1.0), (1.0, bad)):
@@ -264,6 +293,23 @@ def test_rate_config_arrays_immutable():
     r = RateConfig.for_graph(g, 1.0, 1.0)
     with pytest.raises(ValueError):
         r.beta[0] = 9.0
+
+
+def test_rate_config_keeps_copies_of_the_callers_arrays():
+    # the configuration freezes what it stores, so it stores its own copies:
+    # the caller's float64 arrays stay writable, and writing them later
+    # changes nothing in the configuration
+    g = path_graph(3)
+    beta, delta = np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.0, 2.0])
+    r = RateConfig.for_graph(g, beta, delta)
+    assert r.beta is not beta and r.delta is not delta
+    assert beta.flags.writeable and delta.flags.writeable
+    beta[0], delta[0] = 5.0, 7.0
+    assert r.beta.tolist() == [1.0, 2.0, 3.0] and r.delta.tolist() == [0.5, 1.0, 2.0]
+    assert np.array_equal(r.tau, r.beta / r.delta) and np.array_equal(r.gamma, g.adjacency @ r.beta)
+    assert not r.beta.flags.writeable and not r.delta.flags.writeable
+    tau = np.array([1.0, 2.0, 3.0])
+    assert RateConfig.from_tau(g, tau).beta is not tau and tau.flags.writeable
 
 
 def test_graph_and_rates_compare_and_hash_by_identity():

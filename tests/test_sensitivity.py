@@ -23,7 +23,9 @@ from hetsis import (
     SteadyState,
     classify,
     convexity_verdicts,
+    critical_scaling,
     curvature_matrix,
+    effective_adjacency,
     first_derivatives,
     format_edge_list,
     full_report,
@@ -495,9 +497,9 @@ def counted_evaluations(monkeypatch) -> list:
         calls.append("solve")
         return solve_(*args, **kwargs)
 
-    def counting_newton(g, rates, guess, *args):
+    def counting_newton(g, beta, delta, guess, *args):
         calls.extend(["_newton"] * int(np.isfinite(guess).all(axis=-1).sum()))
-        return newton(g, rates, guess, *args)
+        return newton(g, beta, delta, guess, *args)
 
     monkeypatch.setattr(sensitivity, "solve", counting_solve)
     monkeypatch.setattr(sensitivity, "_newton", counting_newton)
@@ -708,6 +710,21 @@ def test_stacked_verdicts_match_per_node_loop_on_random_configs():
         assert convexity_verdicts(g, r) == loop_convexity_verdicts(g, r)[0], k
 
 
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_verdicts_from_a_base_state_on_the_critical_surface_match_per_node_loop(n):
+    # the base state lies within the critical band, so no sweep starts from
+    # a solved point: the first endemic point of each chain is corrected from
+    # no prediction (and so solved), the next one predicted from it
+    rng = np.random.default_rng(300 + n)
+    g = random_connected_graph(n, rng)
+    r = random_rates_at(g, rng, 2.0)
+    on = RateConfig.for_graph(g, r.beta * critical_scaling(g, r.tau), r.delta)
+    assert steady_state._side(effective_adjacency(g, on.tau)) == 0
+    expected, skipped = loop_convexity_verdicts(g, on)
+    assert skipped >= 3 * n  # the base point and both upward points of every sweep
+    assert convexity_verdicts(g, on) == expected
+
+
 def test_convexity_verdicts_do_not_depend_on_the_stack_chunk(monkeypatch):
     configs = [(g, r) for g, r, _ in convexity_cases().values()] + random_convexity_configs()[::5]
     expected = [convexity_verdicts(g, r) for g, r in configs]
@@ -763,10 +780,10 @@ def failing_stack_row(monkeypatch, base, factor) -> list:
     original = sensitivity._newton
     rows = []
 
-    def run_or_fail(g, rates, *args):
-        v, residual, steps, stop = original(g, rates, *args)
-        rows.extend(np.reshape(rates.delta, (-1, g.n)))
-        stop[np.isclose(rates.delta[..., 0], factor * base.delta[0], rtol=1e-12)] = steady_state._STALLED
+    def run_or_fail(g, beta, delta, *args):
+        v, residual, steps, stop = original(g, beta, delta, *args)
+        rows.extend(np.reshape(delta, (-1, g.n)))
+        stop[np.isclose(delta[..., 0], factor * base.delta[0], rtol=1e-12)] = steady_state._STALLED
         return v, residual, steps, stop
 
     monkeypatch.setattr(sensitivity, "_newton", run_or_fail)
@@ -814,10 +831,10 @@ def test_corrected_sweep_states_match_newton(name, monkeypatch):
     states = []
     corrected = sensitivity._newton
 
-    def recording(g, rates, *args):
-        v, residual, steps, stop = corrected(g, rates, *args)
+    def recording(g, beta, delta, *args):
+        v, residual, steps, stop = corrected(g, beta, delta, *args)
         for k in np.flatnonzero(stop == steady_state._CONVERGED):
-            states.append((RateConfig.for_graph(g, rates.beta, rates.delta[k]), v[k], residual[k]))
+            states.append((RateConfig.for_graph(g, beta, delta[k]), v[k], residual[k]))
         return v, residual, steps, stop
 
     monkeypatch.setattr(sensitivity, "_newton", recording)
@@ -845,23 +862,23 @@ def test_stacked_rows_equal_one_state_calls():
     deltas[4] = [1.0] + [2.0**k for k in range(-1, 9)] + [256.0]
 
     def rates(k):
-        return replace(base, delta=deltas[k], tau=base.beta / deltas[k])
+        return RateConfig.for_graph(g, base.beta, deltas[k])
 
     guesses = [solve(g, rates(k), tol=1e-12).v_inf * factor for k, factor in enumerate((0.97, 1.02, 1.02))]
     guesses.append(steady_state._iterate(g, rates(3), 1e-12, 10**6)[0])  # the map hands it over unconverged
     guesses += [np.full(g.n, 0.5), np.where(np.arange(g.n) == 2, 1.0, 0.5)]
-    stack = steady_state._newton(g, rates(slice(None)), np.array(guesses), 1e-12, 10**6)
+    stack = steady_state._newton(g, base.beta, deltas, np.array(guesses), 1e-12, 10**6)
     stops = [steady_state._CONVERGED] * 3 + [steady_state._STALLED, steady_state._SINGULAR, steady_state._OUTSIDE]
     assert stack[3].tolist() == stops
     for k, guess in enumerate(guesses):
-        alone = steady_state._newton(g, rates(k), guess, 1e-12, 10**6)
+        alone = steady_state._newton(g, base.beta, deltas[k], guess, 1e-12, 10**6)
         assert np.array_equal(stack[0][k], alone[0], equal_nan=True), k
         assert all(np.array_equal(field[k], one) for field, one in zip(stack[1:], alone[1:])), k
     assert "stalled at residual floor" in str(steady_state._no_convergence(1e-12, 9, stack[1][3], stack[3][3]))
     assert "singular" in str(steady_state._no_convergence(1e-12, 9, stack[1][4], stack[3][4]))
 
     def linearized(k, v, nodes):
-        lin = sensitivity._Linearization.at(g, rates(k), v)
+        lin = sensitivity._Linearization.at(g, base.beta, deltas[k], v)
         return (lin.s, lin.inv, *lin.along((np.arange(g.n) == nodes[..., None])[..., None]))
 
     states, nodes = stack[0].copy(), np.array([0, 1, 0, 0, 0, 0])
@@ -888,7 +905,32 @@ def test_stacked_rows_equal_one_state_calls():
     assert info.value.code == "near-critical"
 
 
-def test_trial_rates_equal_a_validated_configuration():
+def trial_arrays(monkeypatch, g, rates, nodes, delta_i) -> dict:
+    """The rates that _advance builds for its points: tau as its regime test
+    gets it, beta and delta as its corrector does (every point is taken as
+    endemic, and the corrector stops the step once it has them)."""
+    seen, regime_coupling = {}, sensitivity._coupling
+
+    class Captured(Exception):
+        pass
+
+    def coupling(g, tau):
+        seen["tau"] = tau
+        return regime_coupling(g, tau)
+
+    def corrector(g, beta, delta, *args):
+        seen.update(beta=beta, delta=delta)
+        raise Captured
+
+    monkeypatch.setattr(sensitivity, "_coupling", coupling)
+    monkeypatch.setattr(sensitivity, "_endemic", lambda r: np.ones(r.shape[:-2], dtype=bool))
+    monkeypatch.setattr(sensitivity, "_newton", corrector)
+    with pytest.raises(Captured):
+        sensitivity._advance(g, rates, nodes, delta_i, None)
+    return seen
+
+
+def test_trial_rates_equal_a_validated_configuration(monkeypatch):
     rng = np.random.default_rng(12)
     g = random_connected_graph(9, rng)
     r = random_rates_at(g, rng, 2.5)
@@ -897,14 +939,13 @@ def test_trial_rates_equal_a_validated_configuration():
         delta = r.delta.copy()
         delta[i] = delta_i
         expected = RateConfig.for_graph(g, r.beta, delta)
-        trial = sensitivity._rates_with(r, i, delta_i)
-        for name in ("beta", "delta", "tau", "gamma"):
-            value = getattr(trial, name)
-            assert np.array_equal(value, getattr(expected, name)), (i, name)
-            assert not value.flags.writeable, (i, name)
-        stack = sensitivity._rates_with(r, np.array([i, i]), np.array([delta_i, r.delta[i]]))
-        assert np.array_equal(stack.delta, [expected.delta, r.delta]), i  # the sweeps' row of this rate
-        assert np.array_equal(stack.tau, [expected.tau, r.tau]), i
+        trial = trial_arrays(monkeypatch, g, r, i, delta_i)
+        for name in ("beta", "delta", "tau"):
+            assert np.array_equal(trial[name], getattr(expected, name)), (i, name)
+        stack = trial_arrays(monkeypatch, g, r, np.array([i, i]), np.array([delta_i, r.delta[i]]))
+        assert np.array_equal(stack["beta"], expected.beta), i
+        assert np.array_equal(stack["delta"], [expected.delta, r.delta]), i  # the sweeps' row of this rate
+        assert np.array_equal(stack["tau"], [expected.tau, r.tau]), i
 
 
 def test_optimal_curing_rate_raises_a_failed_walk_solve(monkeypatch):
@@ -937,15 +978,15 @@ def test_each_endemic_state_is_solved_and_linearized_once(monkeypatch, tmp_path,
         counts["solve"] += 1
         return solve(*args, **kwargs)
 
-    def counting_newton(g, rates, guess, *args):
+    def counting_newton(g, beta, delta, guess, *args):
         predicted = np.isfinite(guess).all(axis=-1)
         counts["rows"] += int(predicted.sum())
         counts["unpredicted"] += int((~predicted).sum())
-        return newton(g, rates, guess, *args)
+        return newton(g, beta, delta, guess, *args)
 
-    def counting_at(cls, g, rates, v):
+    def counting_at(cls, g, beta, delta, v):
         counts["at"] += len(np.reshape(v, (-1, g.n)))
-        return at(cls, g, rates, v)
+        return at(cls, g, beta, delta, v)
 
     monkeypatch.setattr(sensitivity, "solve", counting_solve)
     monkeypatch.setattr(steady_state, "solve", counting_solve)

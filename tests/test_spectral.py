@@ -124,6 +124,16 @@ def test_generalized_laplacian_classical_case():
     assert np.abs(q.matrix @ ones).max() < 1e-12
 
 
+def test_generalized_laplacian_keeps_a_copy_of_q():
+    # writing the caller's q later leaves q and matrix in step
+    g = random_connected_graph(6, np.random.default_rng(5))
+    q = g.degrees.astype(float)
+    lap = generalized_laplacian(g, q)
+    assert lap.q is not q
+    q[0] += 10.0
+    assert np.array_equal(lap.q, g.degrees) and np.array_equal(np.diag(lap.matrix), lap.q)
+
+
 def test_generalized_laplacian_loading_shift_gives_definiteness():
     # positive semi-definite at q, strictly definite at any q* > q
     g = random_connected_graph(8, np.random.default_rng(3))
@@ -181,10 +191,12 @@ def test_below_leaves_its_input_unchanged():
         alone = [spectral._below(m, float(np.broadcast_to(c, (len(stack), 1))[k, 0])) for k, m in enumerate(stack)]
         assert below.tolist() == alone
         assert not below[-2] and not below[-1]
-    sides = steady_state._side(stack)
+    endemic = steady_state._endemic(stack)
+    assert endemic.shape == (len(stack),) and endemic.dtype == bool
+    assert endemic.tolist() == [bool(steady_state._endemic(m)) for m in stack]
     alone = [steady_state._side(m) for m in stack]
     assert all(type(side) is int for side in alone)
-    assert sides.tolist() == alone and alone[:-2] == [steady_state._side(r) for r in rs]
+    assert endemic.tolist() == [side == 1 for side in alone] and alone[:-2] == [steady_state._side(r) for r in rs]
     assert set(alone[:-2]) == {-1, 0, 1} and alone[-2:] == [1, 1]
     assert stack.tobytes() == kept.tobytes()
 

@@ -379,7 +379,7 @@ def test_corrected_state_is_the_solved_state(offset):
     g, r, v_ref = near_surface_case(offset)
     ss = solve(g, r, tol=1e-12)
     for guess in (0.9 * ss.v_inf, np.minimum(1.5 * ss.v_inf, 0.99)):
-        v, residual, steps, stop = steady_state._newton(g, r, guess, 1e-12, 10**6)
+        v, residual, steps, stop = steady_state._newton(g, r.beta, r.delta, guess, 1e-12, 10**6)
         assert stop == steady_state._CONVERGED
         assert 0 < steps <= 10 and residual <= 1e-12
         assert np.abs(v - v_ref).max() <= 1e-11 * v_ref.max()
@@ -390,7 +390,7 @@ def test_corrected_state_refuses_a_guess_outside_the_unit_cube():
     g = complete_graph(4)
     r = homogeneous_rates(g, 1.0)
     for guess in (np.full(4, 0.0), np.full(4, 1.0), np.array([0.5, 0.5, np.nan, 0.5])):
-        v, residual, steps, stop = steady_state._newton(g, r, guess, 1e-12, 10**6)
+        v, residual, steps, stop = steady_state._newton(g, r.beta, r.delta, guess, 1e-12, 10**6)
         assert stop == steady_state._OUTSIDE and steps == 0 and residual == np.inf
         assert np.array_equal(v, guess, equal_nan=True)
         error = steady_state._no_convergence(1e-12, 0, residual, stop)
