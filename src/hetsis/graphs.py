@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -103,16 +102,12 @@ class Graph:
 
 
 def _require_connected(adj: np.ndarray) -> None:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    queue: deque[int] = deque([0])
-    seen[0] = True
-    while queue:
-        i = queue.popleft()
-        for j in np.flatnonzero(adj[i]):
-            if not seen[j]:
-                seen[j] = True
-                queue.append(int(j))
+    """Breadth-first from node 0, one numpy sweep per level: the frontier is
+    every unseen neighbour of the last one."""
+    seen = frontier = np.arange(adj.shape[0]) == 0
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
     if not seen.all():
         raise InputError("disconnected graph", code="disconnected-graph")
 

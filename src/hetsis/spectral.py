@@ -15,8 +15,12 @@ Collatz-Wielandt bounds min_i (m x)_i / x_i <= lambda_max <= max_i
 that order, where that route fails, or where its power steps contract
 too slowly to finish in a few steps, ``numpy.linalg.eigvalsh`` gives the
 value and two inertia (Cholesky) tests certify it to 1e-10 relative.
-Every route applies the same relative simplicity rule: lambda_max must
-exceed the next eigenvalue by more than 1e-10 lambda_max.
+Neither route tests that lambda_max is simple.  Its callers pass R =
+diag(sqrt tau) A diag(sqrt tau) of a ``Graph``, which is connected, with
+every tau_i > 0, so R is irreducible and Perron-Frobenius makes lambda_max
+simple; a bracket bounds lambda_max whether or not it is simple.  Only
+``dominant_eigenpair``, which takes any matrix and returns an
+eigenvector, tests simplicity.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ __all__ = [
     "gerschgorin_intervals",
 ]
 
-_SIMPLE = 1e-10  # relative gap by which lambda_max must exceed the next eigenvalue
 _BRACKET_MIN_N = 150  # order from which _lambda_max tries the Collatz-Wielandt route first; measured crossover
 _BRACKET_TOL = 1e-12  # relative width at which that route's bracket is returned
 _POWER_STEPS = 32  # power steps at most
@@ -67,14 +70,6 @@ def _eigen(linalg_op, m: np.ndarray) -> np.ndarray:
         raise NumericalError("symmetric eigensolver did not converge", code="no-convergence") from None
 
 
-def _check_simple(eigenvalues: np.ndarray) -> None:
-    """The Perron-simplicity rule: lambda_max must exceed the next eigenvalue by more
-    than _SIMPLE lambda_max, else ``reducible-matrix``; a single eigenvalue is simple."""
-    lam = float(eigenvalues[-1])
-    if eigenvalues.size > 1 and lam - float(eigenvalues[-2]) <= _SIMPLE * lam:
-        raise NumericalError("dominant eigenvalue is not simple; matrix is reducible", code="reducible-matrix")
-
-
 def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and positive unit eigenvector of a symmetric
     non-negative irreducible matrix.
@@ -96,7 +91,8 @@ def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     resid = float(np.abs(m @ x - lam * x).max())
     if resid > 1e-11 * max(1.0, row_max):
         raise NumericalError(f"eigen-residual {resid:.3e} exceeds tolerance", code="no-convergence")
-    _check_simple(eigenvalues)
+    if eigenvalues.size > 1 and lam - float(eigenvalues[-2]) <= 1e-10 * lam:  # relative, so scale-free
+        raise NumericalError("dominant eigenvalue is not simple; matrix is reducible", code="reducible-matrix")
     if x.min() <= 0:
         raise NumericalError("dominant eigenvector is not strictly positive", code="no-convergence")
     return lam, x
@@ -143,19 +139,17 @@ def _lambda_max(m: np.ndarray) -> tuple[float, float, float]:
     slowly.  Otherwise the value comes from
     ``numpy.linalg.eigvalsh`` and the bracket is [lam (1 - 1e-10), lam (1 +
     1e-10)), certified by two Cholesky attempts, raising ``no-convergence``
-    where they fail.  Either way a lambda_max that is not simple raises
-    ``reducible-matrix``, as ``dominant_eigenpair`` does.
+    where they fail.  Neither route tests that lambda_max is simple: m is
+    R of a connected ``Graph`` with tau > 0, irreducible, so it is.
     """
     if len(m) >= _BRACKET_MIN_N:
         found = _perron_bracket(m)
         if found is not None:
             return found
-    eigenvalues = _eigen(np.linalg.eigvalsh, m)
-    lam = float(eigenvalues[-1])
+    lam = float(_eigen(np.linalg.eigvalsh, m)[-1])
     width = 1e-10 * abs(lam)
     if not _below(m, lam + width) or _below(m, lam - width):
         raise NumericalError(f"eigenvalue {lam!r} fails its inertia certificate", code="no-convergence")
-    _check_simple(eigenvalues)
     return lam, lam - width, lam + width
 
 
@@ -176,12 +170,11 @@ def _perron_bracket(m: np.ndarray) -> tuple[float, float, float] | None:
     it at most _NODA_STEPS Noda steps x <- (hi I - m)^{-1} x (Noda 1971)
     take over.  They converge quadratically (Elsner 1976) and keep x
     positive, since hi >= lambda_max makes hi I - m an M-matrix.  Once the
-    bracket is within _BRACKET_TOL relative, lam is x's Rayleigh quotient,
-    and the Perron root is simple by the package's rule when lambda_max(m -
-    hi u u^T), u = x / |x|, is below lo (1 - 1e-10): by interlacing it
-    bounds the second eigenvalue of m.  A failed solve, a non-positive
-    iterate, a lo below the normal range, a step cap or a failed simplicity
-    test return None.
+    bracket is within _BRACKET_TOL relative, lam is x's Rayleigh quotient.
+    The bounds hold for every positive x, whether lambda_max is simple or
+    not, so the bracket needs no simplicity test.  A failed solve, a
+    non-positive iterate, a lo below the normal range or a step cap return
+    None.
     """
     n = len(m)
     rounding = (n + 2) * np.finfo(float).eps
@@ -194,7 +187,7 @@ def _perron_bracket(m: np.ndarray) -> tuple[float, float, float] | None:
             return None
         width = (hi - lo) / lo
         if width <= _BRACKET_TOL:
-            break
+            return float(x @ y) / float(x @ x), lo, hi
         q, last = width / last, width
         target = _NODA_FROM if width > _NODA_FROM else _BRACKET_TOL
         # log(target / width) / log(q) more power steps are due
@@ -213,10 +206,6 @@ def _perron_bracket(m: np.ndarray) -> tuple[float, float, float] | None:
                 return None
             noda += 1
         x = y / y.max()
-    u = x / np.linalg.norm(x)
-    if not _below(m - np.outer(hi * u, u), lo - _SIMPLE * lo):
-        return None
-    return float(x @ y) / float(x @ x), lo, hi
 
 
 def effective_adjacency(g: Graph, tau: np.ndarray) -> np.ndarray:

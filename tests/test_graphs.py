@@ -88,6 +88,29 @@ def test_from_edges_refuses_non_integer_ids_and_size(edges, n):
     assert info.value.code == "invalid-argument"
 
 
+def test_from_edges_refuses_exactly_the_graphs_networkx_finds_disconnected():
+    # 300 seeded G(n, p) edge lists near the connectivity threshold, their
+    # used node ids relabelled 0..k-1 so no gap hides a disconnected graph
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(31)
+    outcomes = []
+    for _ in range(300):
+        n = int(rng.integers(2, 41))
+        iu, iv = np.triu_indices(n, k=1)
+        keep = rng.random(iu.size) < rng.uniform(0.2, 1.5) * np.log(n) / n
+        if not keep.any():
+            continue
+        ids, ends = np.unique(np.stack([iu[keep], iv[keep]], axis=1), return_inverse=True)
+        edges = [tuple(e) for e in ends.reshape(-1, 2).tolist()]
+        connected = nx.is_connected(nx.Graph(edges))
+        try:
+            assert Graph.from_edges(edges).n == ids.size and connected
+        except InputError as err:
+            assert err.code == "disconnected-graph" and not connected
+        outcomes.append(connected)
+    assert min(outcomes.count(True), outcomes.count(False)) >= 50
+
+
 def non_numeric_calls():
     g = complete_graph(3)
     r = RateConfig.for_graph(g, 1.0, 1.0)

@@ -246,19 +246,22 @@ def test_dominant_eigenpair_rejects_reducible_input():
     assert info.value.code == "reducible-matrix"
 
 
-def test_lambda_max_rejects_reducible_input_on_both_routes():
-    # two copies of one graph: lambda_max is double at every order, so the
-    # Collatz-Wielandt route's simplicity factor fails above the crossover and
-    # the eigvalsh route's simplicity rule raises on either side of it
+def test_lambda_max_brackets_a_double_root_on_both_routes():
+    # two copies of one graph: lambda_max is double at every order.  Neither
+    # route tests simplicity, since R of a Graph is irreducible; each bracket
+    # still holds eigvalsh's lambda_max: the eigvalsh route's below the
+    # crossover, the Collatz-Wielandt route's from it on
     rng = np.random.default_rng(6)
     for half in (8, spectral._BRACKET_MIN_N // 2):
         r = effective_adjacency(random_connected_graph(half, rng), rng.uniform(0.5, 2.0, half))
         m = np.zeros((2 * half, 2 * half))
         m[:half, :half] = m[half:, half:] = r
-        assert spectral._perron_bracket(m) is None
-        with pytest.raises(NumericalError) as info:
-            spectral._lambda_max(m)
-        assert info.value.code == "reducible-matrix"
+        top = np.linalg.eigvalsh(m)[-2:]
+        assert top[1] - top[0] <= 1e-10 * top[1]
+        lam, lo, hi = spectral._lambda_max(m)
+        assert lo <= lam < hi and lo <= top[1] < hi
+        if 2 * half >= spectral._BRACKET_MIN_N:
+            assert spectral._perron_bracket(m) == (lam, lo, hi)
 
 
 class _Counted(np.ndarray):

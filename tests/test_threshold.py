@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetsis import (
+    Graph,
     InputError,
     NumericalError,
     RateConfig,
@@ -109,15 +110,44 @@ def test_classify_raises_when_the_eigenvalue_fails_its_certificate(monkeypatch):
     assert info.value.code == "no-convergence"
 
 
-def test_simplicity_rule_is_scale_free():
-    # the path's top gap is phi - 1/phi = 1 times tau; the rule compares it with
-    # 1e-10 lambda_max, so a connected graph at tau = 1e-12 is not reducible
+def test_classify_and_critical_scaling_are_scale_free():
+    # lambda_max's bracket is relative in width, so tau = 1e-12 on the path
+    # (lambda_max = phi tau) is bracketed as closely, and scaled onto the
+    # surface as exactly, as tau = 1 is
     g = path_graph(4)
     report = classify(g, RateConfig.from_tau(g, 1e-12))
     assert report.regime == "not_infected"
     assert abs(report.lambda_max_R - 1e-12 * PHI) <= 1e-12 * 1e-12 * PHI
     s_unit = critical_scaling(g, np.ones(g.n))
     assert abs(critical_scaling(g, np.full(g.n, 1e-12)) * 1e-12 - s_unit) <= 1e-12 * s_unit
+
+
+def _bridged(block):
+    """Two copies of block joined through one extra node, the last, linked
+    to node 0 of each copy."""
+    n = block.n
+    edges = block.edges()
+    return Graph.from_edges(edges + [(u + n, v + n) for u, v in edges] + [(0, 2 * n), (n, 2 * n)])
+
+
+@pytest.mark.parametrize("block", ["k4", "preferential"])
+def test_classify_answers_a_bridge_whose_top_gap_is_below_1e_10(block):
+    # tau = 1e-30 on the bridge node leaves the two copies' equal lambda_max
+    # split by about 1e-30: R is irreducible, as every connected graph's is,
+    # so classify and critical_scaling answer on either side of the
+    # Collatz-Wielandt crossover, as solve does
+    g = _bridged(complete_graph(4) if block == "k4" else preferential_attachment(80, 3, np.random.default_rng(31)))
+    assert (g.n < spectral._BRACKET_MIN_N) == (block == "k4")
+    for t in (0.05, 0.25, 0.4):
+        tau = np.full(g.n, t)
+        tau[-1] = 1e-30
+        rates = RateConfig.from_tau(g, tau)
+        top = np.linalg.eigvalsh(effective_adjacency(g, rates.tau))[-2:]
+        assert top[1] - top[0] <= 1e-10 * top[1]
+        report = classify(g, rates)
+        assert report.regime == {"endemic": "infected", "extinct": "not_infected"}[solve(g, rates).regime]
+        assert abs(report.lambda_max_R - top[1]) <= 1e-10 * top[1]
+        assert abs(critical_scaling(g, rates.tau) * report.lambda_max_R - 1.0) <= 1e-12
 
 
 def _large_cases():
